@@ -27,7 +27,6 @@ from . import rng
 from .errors import (
     DimensionMismatch,
     EmptyEvalSet,
-    EmptyModel,
     EmptyValues,
     IncompatibleMetric,
     InvalidConfig,
@@ -100,8 +99,8 @@ config file reference (INI sections and keys)
 [model]
   algorithm         homoscedastic | hetero-knn | hetero-tuned | conformal-hetero
   alpha             comma-separated miscoverage levels (default 0.2)
-  mean              knn | global (default knn)
-  mean_k            auto | positive integer (default auto)
+  mean              knn | global (default knn; hetero-tuned takes knn only)
+  mean_k            auto | positive integer (default auto; hetero-tuned takes auto only)
   mean_k_grid       comma-separated candidate k values for mean selection
   k                 neighbor count for local radii (hetero-knn, conformal-hetero)
   k_grid            comma-separated radius k candidates (hetero-tuned)
@@ -109,7 +108,6 @@ config file reference (INI sections and keys)
   calib_fraction    conformal-hetero only: share for local radii (default 0.25)
   fit_metric        euclidean-l2 | wasserstein2 (default matches the data)
   region_metric     euclidean-l2 | euclidean-sup | wasserstein2 | quantile-sup
-  randomized_ties   auto | true | false (default auto)
 
 [predict]
   model             model bundle JSON path
@@ -258,13 +256,6 @@ def _metric(cfg: _Config, key: str, default: MetricKind) -> MetricKind:
         raise InvalidConfig(f"[model] {key}: unknown metric {raw!r}") from None
 
 
-def _randomized(cfg: _Config) -> Optional[bool]:
-    raw = cfg.get_str("model", "randomized_ties", "auto")
-    if raw == "auto":
-        return None
-    return cfg.get_bool("model", "randomized_ties")
-
-
 def _alphas(cfg: _Config) -> tuple[float, ...]:
     values = cfg.get_floats("model", "alpha", (0.2,))
     if not values:
@@ -290,67 +281,59 @@ def _mean_spec(cfg: _Config, fit_metric: MetricKind) -> MeanSpec:
     return MeanSpec(kind, fit_metric, k=k, k_grid=grid)
 
 
+_ALGORITHMS = ("homoscedastic", "hetero-knn", "hetero-tuned", "conformal-hetero")
+
+
 def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
     algorithm = cfg.get_str("model", "algorithm", "homoscedastic")
+    if algorithm not in _ALGORITHMS:
+        raise InvalidConfig(f"[model] algorithm: unknown algorithm {algorithm!r}")
     default_metric = (
         MetricKind.WASSERSTEIN2 if data.quantile_grid is not None else MetricKind.EUCLIDEAN_L2
     )
     fit_metric = _metric(cfg, "fit_metric", default_metric)
     region_metric = _metric(cfg, "region_metric", default_metric)
-    randomized = _randomized(cfg)
     alphas = _alphas(cfg)
     train_fraction = cfg.get_float("model", "train_fraction", 0.5)
+    mean_spec = _mean_spec(cfg, fit_metric)
+    if algorithm == "hetero-tuned":
+        # the tuned pipeline always selects a kNN mean by leave-one-out
+        if mean_spec.kind != "knn":
+            raise InvalidConfig("[model] mean: hetero-tuned fits a knn mean only")
+        if mean_spec.k is not None:
+            raise InvalidConfig("[model] mean_k: hetero-tuned selects the mean k itself; use auto")
+    if algorithm in ("hetero-knn", "conformal-hetero"):
+        k = cfg.get_int("model", "k")
 
-    models = []
     if algorithm == "conformal-hetero":
         calib_fraction = cfg.get_float("model", "calib_fraction", 0.25)
         train, calib, conformal = split_three(data, train_fraction, calib_fraction, seed)
-        mean = fit_mean(train, _mean_spec(cfg, fit_metric), rng.derive_seed(seed, "mean"))
-        k = cfg.get_int("model", "k")
-        for alpha in alphas:
-            models.append(
-                fit_conformalized_hetero(
-                    train, calib, conformal, alpha, k, mean, region_metric,
-                    seed=seed, randomized=randomized,
-                )
-            )
-        return models
+    else:
+        train, calib = split_dataset(data, SplitConfig(train_fraction, seed))
+    if algorithm != "hetero-tuned":
+        mean = fit_mean(train, mean_spec, rng.derive_seed(seed, "mean"))
 
-    train, calib = split_dataset(data, SplitConfig(train_fraction, seed))
-    if algorithm == "hetero-tuned":
-        for alpha in alphas:
-            result = fit_hetero_tuned(
-                train, calib, alpha,
-                fit_metric=fit_metric,
-                region_metric=region_metric,
-                mean_k_grid=cfg.get_ints("model", "mean_k_grid", None),
-                radius_k_grid=cfg.get_ints("model", "k_grid", None),
-                seed=seed, randomized=randomized,
+    def fit(alpha: float):
+        if algorithm == "homoscedastic":
+            return fit_homoscedastic(train, calib, alpha, mean, region_metric, seed=seed)
+        if algorithm == "hetero-knn":
+            return fit_heteroscedastic_knn(
+                train, calib, alpha, k, mean, region_metric, seed=seed
             )
-            models.append(result.model)
-        return models
+        if algorithm == "conformal-hetero":
+            return fit_conformalized_hetero(
+                train, calib, conformal, alpha, k, mean, region_metric, seed=seed
+            )
+        return fit_hetero_tuned(
+            train, calib, alpha,
+            fit_metric=fit_metric,
+            region_metric=region_metric,
+            mean_k_grid=mean_spec.k_grid,
+            radius_k_grid=cfg.get_ints("model", "k_grid", None),
+            seed=seed,
+        ).model
 
-    mean = fit_mean(train, _mean_spec(cfg, fit_metric), rng.derive_seed(seed, "mean"))
-    if algorithm == "homoscedastic":
-        for alpha in alphas:
-            models.append(
-                fit_homoscedastic(
-                    train, calib, alpha, mean, region_metric,
-                    seed=seed, randomized=randomized,
-                )
-            )
-        return models
-    if algorithm == "hetero-knn":
-        k = cfg.get_int("model", "k")
-        for alpha in alphas:
-            models.append(
-                fit_heteroscedastic_knn(
-                    train, calib, alpha, k, mean, region_metric,
-                    seed=seed, randomized=randomized,
-                )
-            )
-        return models
-    raise InvalidConfig(f"[model] algorithm: unknown algorithm {algorithm!r}")
+    return [fit(alpha) for alpha in alphas]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +545,6 @@ _DATA_FAILURES = (
     DimensionMismatch,
     IncompatibleMetric,
     NonMonotoneQuantile,
-    EmptyModel,
     OSError,
 )
 _NUMERIC_FAILURES = (WeightsSumToZero, FloatingPointError, np.linalg.LinAlgError)

@@ -34,10 +34,6 @@ class InvalidDataset(MetricRegionsError):
 # estimator / model errors
 
 
-class EmptyModel(MetricRegionsError):
-    """A model was built from, or asked to use, zero samples."""
-
-
 class TooFewSamples(MetricRegionsError):
     """Not enough rows to fit the requested estimator."""
 

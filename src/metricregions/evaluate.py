@@ -164,14 +164,19 @@ def evaluate_model(
     """One-stop report: marginal coverage always, the conditional curve
     and its integrated error for scalar predictors, and the Monte Carlo
     region error when a generating scenario is supplied."""
-    cover = marginal_coverage(model, eval_set)
+    ind = coverage_indicators(model, eval_set)
     curve = None
     l2 = None
     if eval_set.p == 1:
-        if x_grid is None and spec is not None:
-            lo, hi = predictor_range(spec)
+        xs = eval_set.predictors[:, 0]
+        if x_grid is None:
+            lo, hi = (
+                predictor_range(spec)
+                if spec is not None
+                else (float(xs.min()), float(xs.max()))
+            )
             x_grid = _default_grid(lo, hi, grid_points)
-        curve = conditional_coverage_curve(model, eval_set, x_grid, grid_points)
+        curve = smooth_indicators(xs, ind, x_grid)
         l2 = l2_integrated_error(curve, model.alpha)
     region_error = None
     if spec is not None and mc_draws > 0:
@@ -179,7 +184,7 @@ def evaluate_model(
     return CoverageReport(
         alpha=float(model.alpha),
         n_eval=eval_set.n,
-        marginal_coverage=cover,
+        marginal_coverage=float(ind.mean()),
         curve=curve,
         l2_error=l2,
         region_error=region_error,

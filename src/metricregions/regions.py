@@ -70,14 +70,11 @@ __all__ = [
 ]
 
 
-def empirical_quantile(
-    values, level: float, randomized: bool = False, seed: int = 0
-) -> float:
+def empirical_quantile(values, level: float) -> float:
     """The ``ceil((n+1) * level)``-th smallest value, or +inf past the top.
 
-    With ``randomized=True`` exact ties are ordered by a seeded uniform
-    jitter (then by index) so ranks are almost surely distinct; the
-    returned value is unchanged because tied entries are equal.
+    An order statistic does not depend on how tied entries are ranked,
+    so ties need no breaking here.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
@@ -88,10 +85,6 @@ def empirical_quantile(
     j = math.ceil((n + 1) * level)
     if j > n:
         return math.inf
-    if randomized:
-        jitter = rng.stream(seed, "quantile-ties").random(n)
-        order = np.lexsort((np.arange(n), jitter, v))
-        return float(v[order[j - 1]])
     return float(np.partition(v, j - 1)[j - 1])
 
 
@@ -114,13 +107,6 @@ class PredictionRegion:
 def contains(region: PredictionRegion, y: ResponsePoint) -> bool:
     """Whether ``y`` lies in the region (boundary counts as inside)."""
     return bool(distance(region.region_metric, y, region.center) <= region.radius)
-
-
-def _auto_randomized(randomized: bool | None, region_metric: MetricKind) -> bool:
-    # ties have positive probability under the sup metric on shared grids
-    if randomized is None:
-        return region_metric is MetricKind.QUANTILE_SUP
-    return bool(randomized)
 
 
 def _check_region_metric(region_metric: MetricKind, data: LabeledDataset) -> None:
@@ -149,8 +135,6 @@ class HomoscedasticRegionModel:
     calibrated_radius: float
     alpha: float
     region_metric: MetricKind
-    randomized_ties: bool
-    seed: int
 
     def center_values(self, queries: np.ndarray) -> np.ndarray:
         return self.mean.predict_values(queries)
@@ -171,20 +155,14 @@ def fit_homoscedastic(
     region_metric: MetricKind,
     *,
     seed: int = 0,
-    randomized: bool | None = None,
 ) -> HomoscedasticRegionModel:
     """Fit the mean on ``train`` and calibrate one global radius on ``calib``."""
     _validate_alpha(alpha)
     _check_region_metric(region_metric, calib)
-    randomized = _auto_randomized(randomized, region_metric)
     mean_est = fit_mean(train, mean, rng.derive_seed(seed, "mean"))
     residuals = _calibration_residuals(mean_est, calib, region_metric)
-    radius = empirical_quantile(
-        residuals, 1.0 - alpha, randomized, rng.derive_seed(seed, "radius-quantile")
-    )
-    return HomoscedasticRegionModel(
-        mean_est, radius, float(alpha), region_metric, randomized, int(seed)
-    )
+    radius = empirical_quantile(residuals, 1.0 - alpha)
+    return HomoscedasticRegionModel(mean_est, radius, float(alpha), region_metric)
 
 
 def predict_homoscedastic(model: HomoscedasticRegionModel, x: np.ndarray) -> PredictionRegion:
@@ -220,7 +198,6 @@ class HeteroscedasticRegionModel:
     k: int
     alpha: float
     region_metric: MetricKind
-    randomized_ties: bool
     seed: int
 
     @property
@@ -266,14 +243,12 @@ def fit_heteroscedastic_knn(
     region_metric: MetricKind,
     *,
     seed: int = 0,
-    randomized: bool | None = None,
 ) -> HeteroscedasticRegionModel:
     """Fit the mean on ``train``; store per-point residuals on ``calib``."""
     _validate_alpha(alpha)
     _check_region_metric(region_metric, calib)
     if not 1 <= k <= calib.n:
         raise KTooLarge(f"radius k={k} outside 1..{calib.n}")
-    randomized = _auto_randomized(randomized, region_metric)
     mean_est = fit_mean(train, mean, rng.derive_seed(seed, "mean"))
     residuals = _calibration_residuals(mean_est, calib, region_metric)
     order = canonical_order(calib)
@@ -284,7 +259,6 @@ def fit_heteroscedastic_knn(
         int(k),
         float(alpha),
         region_metric,
-        randomized,
         int(seed),
     )
 
@@ -373,7 +347,6 @@ def fit_hetero_tuned(
     radius_k_grid: Sequence[int] | None = None,
     tune_set: LabeledDataset | None = None,
     seed: int = 0,
-    randomized: bool | None = None,
 ) -> TunedFitResult:
     """Two-stage pipeline: leave-one-out bandwidth for the mean, then a
     radius k tuned for marginal coverage (on ``calib`` itself unless a
@@ -391,8 +364,7 @@ def fit_hetero_tuned(
         else default_radius_k_grid(calib.n)
     )
     base = fit_heteroscedastic_knn(
-        train, calib, alpha, grid[0], mean_est, region_metric,
-        seed=seed, randomized=randomized,
+        train, calib, alpha, grid[0], mean_est, region_metric, seed=seed
     )
     tune = tune_k_marginal(base, grid, tune_set if tune_set is not None else calib, alpha)
     return TunedFitResult(with_radius_k(base, tune.k_star), mean_est.k, tune)
@@ -449,13 +421,10 @@ def fit_conformalized_hetero(
     region_metric: MetricKind,
     *,
     seed: int = 0,
-    randomized: bool | None = None,
 ) -> ConformalizedHeteroModel:
     """Three-split variant: mean on ``train``, local radii on ``calib``,
     conformal offset on ``conformal``."""
-    base = fit_heteroscedastic_knn(
-        train, calib, alpha, k, mean, region_metric, seed=seed, randomized=randomized
-    )
+    base = fit_heteroscedastic_knn(train, calib, alpha, k, mean, region_metric, seed=seed)
     centers = base.center_values(conformal.predictors)
     residuals = rowwise_distance(
         region_metric, conformal.response_values, centers, conformal.quantile_grid
@@ -463,9 +432,7 @@ def fit_conformalized_hetero(
     # an infinite local radius yields a score of -inf, which sorts first:
     # that point is covered for any offset
     scores = residuals - base.radii(conformal.predictors)
-    offset = empirical_quantile(
-        scores, 1.0 - alpha, base.randomized_ties, rng.derive_seed(seed, "offset-quantile")
-    )
+    offset = empirical_quantile(scores, 1.0 - alpha)
     return ConformalizedHeteroModel(base, float(offset))
 
 

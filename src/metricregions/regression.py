@@ -32,7 +32,6 @@ from scipy.optimize import isotonic_regression
 from . import rng
 from .errors import (
     DimensionMismatch,
-    EmptyModel,
     IncompatibleMetric,
     InvalidConfig,
     InvalidDataset,
@@ -285,14 +284,19 @@ class KnnFrechetModel:
     """Local Fréchet mean over the k nearest training predictors.
 
     Training rows are stored in canonical order; ``tie_jitter`` holds
-    the per-row uniforms used to resolve neighbor ties at the cut rank.
+    the per-row uniforms used to resolve neighbor ties at the cut rank,
+    drawn from ``seed`` so a saved model need not store them.
     """
 
     training: LabeledDataset
     k: int
     fit_metric: MetricKind
     seed: int = 0
-    tie_jitter: np.ndarray = field(repr=False, default=None)
+    tie_jitter: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        jitter = rng.stream(self.seed, "knn-ties").random(self.training.n)
+        object.__setattr__(self, "tie_jitter", jitter)
 
     @property
     def quantile_grid(self) -> np.ndarray | None:
@@ -324,14 +328,11 @@ def fit_knn_frechet(
     if not 1 <= k <= data.n:
         raise KTooLarge(f"k={k} outside 1..{data.n}")
     order = canonical_order(data)
-    jitter = rng.stream(seed, "knn-ties").random(data.n)
-    return KnnFrechetModel(data.subset(order), int(k), fit_metric, int(seed), jitter)
+    return KnnFrechetModel(data.subset(order), int(k), fit_metric, int(seed))
 
 
 def knn_frechet_mean(model: KnnFrechetModel, x: np.ndarray) -> ResponsePoint:
     """Fréchet mean of the k training responses nearest to ``x``."""
-    if model.training.n == 0:
-        raise EmptyModel("no training rows")
     return model.predict(x)
 
 

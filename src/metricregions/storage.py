@@ -3,7 +3,9 @@
 All numbers are written with their shortest exact decimal representation
 (``repr``), so read-then-write round-trips are byte identical.  JSON
 cannot carry IEEE infinities, so non-finite floats are stored as the
-strings "inf", "-inf", and "nan" and decoded back on load.
+strings "inf", "-inf", and "nan" and decoded back on load.  Readers
+skip keys they do not use, so older bundles of the same version that
+still carry since-dropped fields load unchanged.
 """
 
 from __future__ import annotations
@@ -250,7 +252,6 @@ def _mean_to_dict(mean) -> dict:
             "k": mean.k,
             "fit_metric": mean.fit_metric.value,
             "seed": mean.seed,
-            "tie_jitter": mean.tie_jitter,
             "training": _dataset_to_dict(mean.training),
         }
     if isinstance(mean, GlobalFrechetModel):
@@ -275,7 +276,6 @@ def _mean_from_dict(d: dict):
             k=int(_require(d, "k")),
             fit_metric=MetricKind(_require(d, "fit_metric")),
             seed=int(_require(d, "seed")),
-            tie_jitter=np.asarray(_require(d, "tie_jitter"), dtype=np.float64),
         )
     if kind == "global":
         return GlobalFrechetModel(
@@ -302,8 +302,6 @@ def model_to_dict(model) -> dict:
             "algorithm": "homoscedastic",
             "alpha": model.alpha,
             "region_metric": model.region_metric.value,
-            "randomized_ties": model.randomized_ties,
-            "seed": model.seed,
             "calibrated_radius": model.calibrated_radius,
             "mean": _mean_to_dict(model.mean),
         }
@@ -312,7 +310,6 @@ def model_to_dict(model) -> dict:
             "algorithm": "heteroscedastic-knn",
             "alpha": model.alpha,
             "region_metric": model.region_metric.value,
-            "randomized_ties": model.randomized_ties,
             "seed": model.seed,
             "k": model.k,
             "calibration_predictors": model.calibration_predictors,
@@ -336,8 +333,6 @@ def model_from_dict(d: dict):
             calibrated_radius=_float_in(_require(d, "calibrated_radius")),
             alpha=float(_require(d, "alpha")),
             region_metric=MetricKind(_require(d, "region_metric")),
-            randomized_ties=bool(_require(d, "randomized_ties")),
-            seed=int(_require(d, "seed")),
         )
     if algorithm == "heteroscedastic-knn":
         return HeteroscedasticRegionModel(
@@ -351,7 +346,6 @@ def model_from_dict(d: dict):
             k=int(_require(d, "k")),
             alpha=float(_require(d, "alpha")),
             region_metric=MetricKind(_require(d, "region_metric")),
-            randomized_ties=bool(_require(d, "randomized_ties")),
             seed=int(_require(d, "seed")),
         )
     if algorithm == "conformalized":

@@ -12,8 +12,20 @@ from metricregions import rng
 from metricregions.cli import main
 from metricregions.errors import WeightsSumToZero
 from metricregions.metrics import MetricKind
-from metricregions.regions import fit_heteroscedastic_knn, fit_homoscedastic
-from metricregions.regression import MeanSpec, SplitConfig, split_dataset
+from metricregions.regions import (
+    fit_conformalized_hetero,
+    fit_hetero_tuned,
+    fit_heteroscedastic_knn,
+    fit_homoscedastic,
+)
+from metricregions.regression import (
+    LabeledDataset,
+    MeanSpec,
+    SplitConfig,
+    fit_knn_frechet,
+    split_dataset,
+    split_three,
+)
 from metricregions.simulate import Setting1, generate
 from metricregions.storage import read_models_json, write_models_json
 
@@ -116,6 +128,48 @@ def test_predict_round_trip_is_identical(fitted_bundle, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_tie_heavy_bundle_reloads_bitwise(tmp_path):
+    seed = 21
+    data = generate(Setting1(), 400, seed)
+    lattice = LabeledDataset(np.round(data.predictors, 2), data.response_values)
+    train, calib = split_dataset(lattice, SplitConfig(0.5, seed))
+    model = fit_heteroscedastic_knn(
+        train, calib, 0.2, 9, MeanSpec("knn", k=6), MetricKind.EUCLIDEAN_L2, seed=seed
+    )
+    queries = np.round(rng.stream(seed, "lattice-queries").uniform(0.0, 5.0, (300, 1)), 2)
+    # neighbour ties decide these centres: a mean with other jitter moves them
+    other = fit_knn_frechet(train, 6, MetricKind.EUCLIDEAN_L2, seed + 1)
+    assert not np.array_equal(other.predict_values(queries), model.center_values(queries))
+    path = tmp_path / "m.json"
+    write_models_json(path, [model])
+    (reloaded,) = read_models_json(path)
+    assert np.array_equal(reloaded.center_values(queries), model.center_values(queries))
+    assert np.array_equal(reloaded.radii(queries), model.radii(queries))
+
+
+def test_bundle_with_dropped_fields_predicts_the_same(fitted_bundle, tmp_path):
+    csv_path, bundle = fitted_bundle
+    doc = json.loads(bundle.read_text())
+    for entry in doc["models"]:
+        mean = entry["mean"]
+        entry["randomized_ties"] = False
+        entry["seed"] = 5
+        n_train = len(mean["training"]["predictors"])
+        mean["tie_jitter"] = rng.stream(mean["seed"], "knn-ties").random(n_train).tolist()
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(doc), encoding="utf-8")
+    outs = []
+    for source in (bundle, legacy):
+        cfg = _write_config(
+            tmp_path / f"p_{source.stem}.ini",
+            f"[predict]\nmodel = {source}\nqueries = {csv_path}\n",
+        )
+        out = tmp_path / f"r_{source.stem}.json"
+        assert _run(["predict", "--config", cfg, "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_predict_radii_nondecreasing_as_alpha_shrinks(fitted_bundle, tmp_path):
     csv_path, bundle = fitted_bundle
     cfg = _write_config(
@@ -129,6 +183,59 @@ def test_predict_radii_nondecreasing_as_alpha_shrinks(fitted_bundle, tmp_path):
         assert loose["alpha"] == 0.2 and tight["alpha"] == 0.05
         assert loose["query"] == tight["query"]
         assert tight["radius"] >= loose["radius"]
+
+
+_FOLD_CONFIG = """
+[data]
+scenario = setting1
+n = 240
+
+[model]
+algorithm = {algorithm}
+alpha = 0.2, 0.1
+{mean}
+k = 15
+k_grid = 10, 20, 40
+"""
+
+
+def _direct_models(algorithm, seed):
+    data = generate(Setting1(), 240, seed)
+    metric, mean, alphas = MetricKind.EUCLIDEAN_L2, MeanSpec("knn", k=8), (0.2, 0.1)
+    if algorithm == "conformal-hetero":
+        train, calib, conformal = split_three(data, 0.5, 0.25, seed)
+        return [
+            fit_conformalized_hetero(train, calib, conformal, a, 15, mean, metric, seed=seed)
+            for a in alphas
+        ]
+    train, calib = split_dataset(data, SplitConfig(0.5, seed))
+    if algorithm == "hetero-tuned":
+        return [
+            fit_hetero_tuned(
+                train, calib, a, mean_k_grid=(4, 8, 16), radius_k_grid=(10, 20, 40), seed=seed
+            ).model
+            for a in alphas
+        ]
+    if algorithm == "hetero-knn":
+        return [
+            fit_heteroscedastic_knn(train, calib, a, 15, mean, metric, seed=seed) for a in alphas
+        ]
+    return [fit_homoscedastic(train, calib, a, mean, metric, seed=seed) for a in alphas]
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["homoscedastic", "hetero-knn", "hetero-tuned", "conformal-hetero"]
+)
+def test_fit_bundle_matches_direct_public_calls(tmp_path, algorithm):
+    seed = 13
+    mean = "mean_k_grid = 4, 8, 16" if algorithm == "hetero-tuned" else "mean_k = 8"
+    cfg = _write_config(
+        tmp_path / "f.ini", _FOLD_CONFIG.format(algorithm=algorithm, mean=mean)
+    )
+    bundle, expected = tmp_path / "cli.json", tmp_path / "direct.json"
+    assert _run(["fit", "--config", cfg, "--seed", seed, "--out", bundle]) == 0
+    write_models_json(expected, _direct_models(algorithm, seed))
+    assert bundle.read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +261,16 @@ def test_unknown_algorithm_is_config_error(tmp_path, capsys):
     )
     assert _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"]) == 2
     assert "wizardry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("mean", "global"), ("mean_k", "8")])
+def test_hetero_tuned_rejects_mean_settings_it_cannot_use(tmp_path, capsys, key, value):
+    cfg = _write_config(
+        tmp_path / "f.ini",
+        f"[data]\nscenario = setting4\nn = 40\n\n[model]\nalgorithm = hetero-tuned\n{key} = {value}\n",
+    )
+    assert _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"]) == 2
+    assert f"[model] {key}" in capsys.readouterr().err
 
 
 def test_missing_required_key_is_config_error(tmp_path, capsys):

@@ -73,15 +73,6 @@ def test_quantile_matches_sort_oracle(rng_np):
         assert empirical_quantile(values, level) == expected
 
 
-def test_quantile_randomized_same_value_and_seeded(rng_np):
-    values = np.repeat([1.0, 2.0, 3.0], 5)  # heavy ties
-    for level in (0.3, 0.62, 0.9):
-        plain = empirical_quantile(values, level)
-        r1 = empirical_quantile(values, level, randomized=True, seed=5)
-        r2 = empirical_quantile(values, level, randomized=True, seed=5)
-        assert r1 == r2 == plain  # jitter reorders ties, same value comes out
-
-
 # ---------------------------------------------------------------------------
 # regions and membership
 
@@ -383,19 +374,3 @@ def test_radii_scale_with_response_units(rng_np):
     bh = fit_homoscedastic(b_train, b_calib, 0.1, mean, MetricKind.EUCLIDEAN_L2, seed=2)
     assert bh.calibrated_radius == 2.0 * ah.calibrated_radius
 
-
-def test_quantile_sup_regions_default_to_randomized(rng_np):
-    grid = np.array([0.25, 0.5, 0.75])
-    vals = np.sort(rng_np.normal(size=(40, 3)), axis=1)
-    data = LabeledDataset(rng_np.uniform(0, 1, 40), vals, grid)
-    train, calib = split_dataset(data, SplitConfig(0.5, seed=3))
-    model = fit_homoscedastic(
-        train, calib, 0.2, MeanSpec("knn", MetricKind.WASSERSTEIN2, k=3),
-        MetricKind.QUANTILE_SUP,
-    )
-    assert model.randomized_ties is True
-    l2_model = fit_homoscedastic(
-        train, calib, 0.2, MeanSpec("knn", MetricKind.WASSERSTEIN2, k=3),
-        MetricKind.WASSERSTEIN2,
-    )
-    assert l2_model.randomized_ties is False
