@@ -43,7 +43,7 @@ from .errors import (
     WeightsSumToZero,
 )
 from .evaluate import evaluate_model
-from .metrics import EuclideanVector, MetricKind, QuantileFunction
+from .metrics import MetricKind
 from .regions import (
     PredictionRegion,
     fit_conformalized_hetero,
@@ -55,6 +55,7 @@ from .regression import (
     LabeledDataset,
     MeanSpec,
     SplitConfig,
+    _wrap_values,
     fit_mean,
     split_dataset,
     split_three,
@@ -82,7 +83,7 @@ from .storage import (
 __all__ = ["main"]
 
 _CONFIG_KEYS = """\
-config file reference (INI sections and keys)
+config file reference (INI sections and keys; any other is a config error)
 
 [data]
   scenario          setting1 | setting2 | setting3 | setting4 | gaussian | wasserstein
@@ -130,79 +131,73 @@ config file reference (INI sections and keys)
   curves            optional TSV path for per-replicate coverage curves
 """
 
+
+# section -> allowed keys, read off the indented lines of the reference
+_ALLOWED_KEYS = {
+    block.split("]")[0]: {line.split()[0] for line in block.splitlines() if line.startswith("  ")}
+    for block in _CONFIG_KEYS.split("\n[")[1:]
+}
 _REQUIRED = object()
 
 
 class _Config:
-    """Typed access to the INI file; failures name the section and key."""
+    """Typed access to the INI file; failures name the section and key.
+    A section or key the reference does not list is an error."""
 
     def __init__(self, path: str):
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
             raise InvalidConfig(f"config file {path!r} not found or unreadable")
+        if parser.defaults():
+            raise InvalidConfig(f"[{parser.default_section}]: unknown section")
+        for section in parser.sections():
+            if section not in _ALLOWED_KEYS:
+                raise InvalidConfig(f"[{section}]: unknown section")
+            for key in parser.options(section):
+                if key not in _ALLOWED_KEYS[section]:
+                    raise InvalidConfig(f"[{section}] {key}: unknown key")
         self._parser = parser
 
     def has(self, section: str, key: str) -> bool:
         return self._parser.has_option(section, key)
 
-    def _raw(self, section: str, key: str, default):
+    def _get(self, section: str, key: str, default, parse, what: str):
         if not self._parser.has_option(section, key):
             if default is _REQUIRED:
                 raise InvalidConfig(f"[{section}] {key}: required key is missing")
-            return None
-        return self._parser.get(section, key).strip()
+            return default
+        raw = self._parser.get(section, key).strip()
+        try:
+            return parse(raw)
+        except (ValueError, KeyError):
+            raise InvalidConfig(f"[{section}] {key}: {raw!r} is not {what}") from None
 
     def get_str(self, section: str, key: str, default=_REQUIRED) -> Optional[str]:
-        raw = self._raw(section, key, default)
-        return default if raw is None and default is not _REQUIRED else raw
+        return self._get(section, key, default, str, "a string")
 
     def get_int(self, section: str, key: str, default=_REQUIRED) -> Optional[int]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise InvalidConfig(f"[{section}] {key}: {raw!r} is not an integer") from None
+        return self._get(section, key, default, int, "an integer")
 
     def get_float(self, section: str, key: str, default=_REQUIRED) -> Optional[float]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise InvalidConfig(f"[{section}] {key}: {raw!r} is not a number") from None
+        return self._get(section, key, default, float, "a number")
 
     def get_bool(self, section: str, key: str, default=_REQUIRED) -> Optional[bool]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise InvalidConfig(f"[{section}] {key}: {raw!r} is not a boolean")
+        return self._get(section, key, default, lambda raw: _BOOLS[raw.lower()], "a boolean")
 
     def get_floats(self, section: str, key: str, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
-        except ValueError:
-            raise InvalidConfig(f"[{section}] {key}: {raw!r} is not a comma-separated number list") from None
+        return self._get(section, key, default, _list_of(float), "a comma-separated number list")
 
     def get_ints(self, section: str, key: str, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
-        except ValueError:
-            raise InvalidConfig(f"[{section}] {key}: {raw!r} is not a comma-separated integer list") from None
+        return self._get(section, key, default, _list_of(int), "a comma-separated integer list")
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _list_of(parse):
+    return lambda raw: tuple(parse(tok) for tok in raw.split(",") if tok.strip() != "")
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +221,6 @@ def _scenario(cfg: _Config) -> ScenarioSpec:
             noise_sd=cfg.get_float("data", "noise_sd", 1.0),
         )
     return scenario_from_tag(tag)
-
-
-def _optional_scenario(cfg: _Config) -> Optional[ScenarioSpec]:
-    return _scenario(cfg) if cfg.has("data", "scenario") else None
 
 
 def _base_seed(cfg: _Config, args) -> int:
@@ -310,8 +301,8 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
         train, calib, conformal = split_three(data, train_fraction, calib_fraction, seed)
     else:
         train, calib = split_dataset(data, SplitConfig(train_fraction, seed))
-    if algorithm != "hetero-tuned":
-        mean = fit_mean(train, mean_spec, rng.derive_seed(seed, "mean"))
+    # hetero-tuned selects the same mean k here that it would select per alpha
+    mean = fit_mean(train, mean_spec, rng.derive_seed(seed, "mean"))
 
     def fit(alpha: float):
         if algorithm == "homoscedastic":
@@ -328,7 +319,7 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
             train, calib, alpha,
             fit_metric=fit_metric,
             region_metric=region_metric,
-            mean_k_grid=mean_spec.k_grid,
+            mean_k_grid=(mean.k,),
             radius_k_grid=cfg.get_ints("model", "k_grid", None),
             seed=seed,
         ).model
@@ -357,27 +348,24 @@ def _cmd_predict(cfg: _Config, args) -> None:
     queries = read_queries_csv(cfg.get_str("predict", "queries"))
     # larger alpha first, so per-query radii are nondecreasing down the file
     models = sorted(models, key=lambda m: -m.alpha)
-    per_model = []
+    centers = {}  # models loaded with equal mean blocks share one mean
     for model in models:
-        centers = model.center_values(queries)
-        radii = model.radii(queries)
-        grid = model.mean.quantile_grid
-        per_model.append((model, centers, radii, grid))
-    entries = []
-    for i in range(queries.shape[0]):
-        for model, centers, radii, grid in per_model:
-            point = (
-                EuclideanVector(centers[i])
-                if grid is None
-                else QuantileFunction(grid, centers[i])
-            )
-            entries.append(
-                {
-                    "query": queries[i],
-                    "alpha": model.alpha,
-                    "region": PredictionRegion(point, float(radii[i]), model.region_metric),
-                }
-            )
+        if id(model.mean) not in centers:
+            centers[id(model.mean)] = model.center_values(queries)
+    radii = [model.radii(queries) for model in models]
+    entries = [
+        {
+            "query": queries[i],
+            "alpha": model.alpha,
+            "region": PredictionRegion(
+                _wrap_values(centers[id(model.mean)][i], model.mean.quantile_grid),
+                float(model_radii[i]),
+                model.region_metric,
+            ),
+        }
+        for i in range(queries.shape[0])
+        for model, model_radii in zip(models, radii)
+    ]
     write_regions_json(args.out, entries)
 
 
@@ -402,10 +390,21 @@ def _eval_grid(spec: Optional[ScenarioSpec], eval_set: LabeledDataset, points: i
     return np.linspace(lo, hi, points)
 
 
+def _evaluate_models(models, eval_set, x_grid, grid_points, spec, mc_draws, seed) -> list:
+    return [
+        evaluate_model(
+            model, eval_set, x_grid=x_grid, grid_points=grid_points,
+            spec=spec if mc_draws > 0 else None, mc_draws=mc_draws,
+            seed=rng.derive_seed(seed, "mc", i),
+        )
+        for i, model in enumerate(models)
+    ]
+
+
 def _cmd_evaluate(cfg: _Config, args) -> None:
     seed = _base_seed(cfg, args)
     models = read_models_json(cfg.get_str("evaluate", "model"))
-    spec = _optional_scenario(cfg)
+    spec = _scenario(cfg) if cfg.has("data", "scenario") else None
     if cfg.has("evaluate", "eval_input"):
         eval_set = read_dataset_csv(cfg.get_str("evaluate", "eval_input"))
     elif spec is not None:
@@ -417,12 +416,7 @@ def _cmd_evaluate(cfg: _Config, args) -> None:
     x_grid = _eval_grid(spec, eval_set, grid_points)
     rows = []
     curves = {}
-    for i, model in enumerate(models):
-        report = evaluate_model(
-            model, eval_set, x_grid=x_grid, grid_points=grid_points,
-            spec=spec if mc_draws > 0 else None, mc_draws=mc_draws,
-            seed=rng.derive_seed(seed, "mc", i),
-        )
+    for report in _evaluate_models(models, eval_set, x_grid, grid_points, spec, mc_draws, seed):
         rows.append(_report_row(report))
         if report.curve is not None:
             curves[f"alpha_{report.alpha}"] = report.curve.values
@@ -465,16 +459,7 @@ def _cmd_replicate(cfg: _Config, args) -> None:
             data = generate(spec, n, rep_seed)
             models = _fit_models(cfg, data, rep_seed)
             eval_set = generate(spec, eval_n, rng.derive_seed(rep_seed, "eval"))
-            reports = []
-            for i, model in enumerate(models):
-                reports.append(
-                    evaluate_model(
-                        model, eval_set, x_grid=x_grid, grid_points=grid_points,
-                        spec=spec if mc_draws > 0 else None, mc_draws=mc_draws,
-                        seed=rng.derive_seed(rep_seed, "mc", i),
-                    )
-                )
-            return reports
+            return _evaluate_models(models, eval_set, x_grid, grid_points, spec, mc_draws, rep_seed)
         except MetricRegionsError as exc:
             raise type(exc)(f"replicate {b}: {exc}") from exc
 

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import rng
 from .errors import (
@@ -42,10 +44,9 @@ from .regression import (
     LabeledDataset,
     MeanSpec,
     _as_query_matrix,
-    _k_smallest,
-    _sq_cross_distances,
     canonical_order,
     fit_mean,
+    nearest_neighbors,
 )
 
 __all__ = [
@@ -140,7 +141,7 @@ class HomoscedasticRegionModel:
         return self.mean.predict_values(queries)
 
     def radii(self, queries: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        q = _as_query_matrix(queries, self.mean.p)
         return np.full(q.shape[0], self.calibrated_radius)
 
     def predict(self, x: np.ndarray) -> PredictionRegion:
@@ -188,8 +189,9 @@ class HeteroscedasticRegionModel:
     ``calibration_predictors`` and ``calibration_residuals`` are kept in
     canonical row order; the radius at ``x`` is the empirical quantile
     of the residuals of the k nearest calibration predictors (Euclidean
-    distance on predictors, ties at the cut rank broken by a jitter
-    seeded from ``seed XOR hash(x)``).
+    distance on predictors, distance ties broken by a jitter seeded from
+    ``seed XOR hash(x)``).  The KD-tree over the calibration predictors
+    is built on first use.
     """
 
     mean: object
@@ -204,34 +206,40 @@ class HeteroscedasticRegionModel:
     def n_calibration(self) -> int:
         return self.calibration_predictors.shape[0]
 
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.calibration_predictors)
+
     def center_values(self, queries: np.ndarray) -> np.ndarray:
-        return self.mean.predict_values(queries)
+        p = self.calibration_predictors.shape[1]
+        return self.mean.predict_values(_as_query_matrix(queries, p))
 
     def radii(self, queries: np.ndarray) -> np.ndarray:
         queries = _as_query_matrix(queries, self.calibration_predictors.shape[1])
-        out = np.empty(queries.shape[0])
-        chunk = max(1, int(4_000_000 / max(1, self.n_calibration)))
-        for start in range(0, queries.shape[0], chunk):
-            q = queries[start : start + chunk]
-            d2 = _sq_cross_distances(q, self.calibration_predictors)
-            out[start : start + q.shape[0]] = self._radii_from_d2(d2, q, self.k)
-        return out
+        return nearest_neighbors(
+            self._tree,
+            queries,
+            self.k,
+            self._tie_jitter,
+            lambda idx, rows: _local_quantile(self.calibration_residuals[idx], self.alpha),
+        )
 
-    def _radii_from_d2(self, d2: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-        j = math.ceil((k + 1) * (1.0 - self.alpha))
-        if j > k:
-            return np.full(d2.shape[0], np.inf)
-
-        def tie_jitter(row: int) -> np.ndarray:
-            local = rng.point_seed(self.seed, queries[row])
-            return rng.stream(local, "neighbor-ties").random(self.n_calibration)
-
-        idx = _k_smallest(d2, k, tie_jitter)
-        neighbor_res = self.calibration_residuals[idx]
-        return np.partition(neighbor_res, j - 1, axis=1)[:, j - 1]
+    def _tie_jitter(self, query: np.ndarray) -> np.ndarray:
+        local = rng.point_seed(self.seed, query)
+        return rng.stream(local, "neighbor-ties").random(self.n_calibration)
 
     def predict(self, x: np.ndarray) -> PredictionRegion:
         return predict_heteroscedastic(self, x)
+
+
+def _local_quantile(neighbor_res: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row, the ``ceil((k+1)(1-alpha))``-th smallest of its k neighbor
+    residuals, or +inf past the top."""
+    k = neighbor_res.shape[1]
+    j = math.ceil((k + 1) * (1.0 - alpha))
+    if j > k:
+        return np.full(neighbor_res.shape[0], np.inf)
+    return np.partition(neighbor_res, j - 1, axis=1)[:, j - 1]
 
 
 def fit_heteroscedastic_knn(
@@ -263,8 +271,9 @@ def fit_heteroscedastic_knn(
     )
 
 
-def predict_heteroscedastic(model: HeteroscedasticRegionModel, x: np.ndarray) -> PredictionRegion:
-    """Region at a single query with its locally calibrated radius."""
+def predict_heteroscedastic(model, x: np.ndarray) -> PredictionRegion:
+    """Region at a single query with its local radius (conformally shifted
+    for a ``ConformalizedHeteroModel``)."""
     return PredictionRegion(
         model.mean.predict(x), float(model.radii(x)[0]), model.region_metric
     )
@@ -311,18 +320,18 @@ def tune_k_marginal(
         raise KTooLarge(
             f"radius k grid must stay within 1..{model.n_calibration}"
         )
-    centers = model.center_values(tune_set.predictors)
-    residuals = rowwise_distance(
-        model.region_metric, tune_set.response_values, centers, tune_set.quantile_grid
+    residuals = _calibration_residuals(model.mean, tune_set, model.region_metric)
+    queries = _as_query_matrix(tune_set.predictors, model.calibration_predictors.shape[1])
+
+    def radii_per_k(idx, rows):
+        # every grid k takes a prefix of the same max(grid) neighbors
+        res = model.calibration_residuals[idx]
+        return np.stack([_local_quantile(res[:, :k], model.alpha) for k in grid], axis=1)
+
+    radii = nearest_neighbors(
+        model._tree, queries, grid[-1], model._tie_jitter, radii_per_k
     )
-    d2 = _sq_cross_distances(
-        _as_query_matrix(tune_set.predictors, model.calibration_predictors.shape[1]),
-        model.calibration_predictors,
-    )
-    coverage = np.empty(len(grid))
-    for i, k in enumerate(grid):
-        radii = model._radii_from_d2(d2, tune_set.predictors, k)
-        coverage[i] = float(np.mean(residuals <= radii))
+    coverage = (residuals[:, None] <= radii).mean(axis=0)
     k_star = grid[int(np.argmin(np.abs(coverage - (1.0 - alpha))))]
     return KTuneResult(tuple(grid), coverage, int(k_star))
 
@@ -425,10 +434,7 @@ def fit_conformalized_hetero(
     """Three-split variant: mean on ``train``, local radii on ``calib``,
     conformal offset on ``conformal``."""
     base = fit_heteroscedastic_knn(train, calib, alpha, k, mean, region_metric, seed=seed)
-    centers = base.center_values(conformal.predictors)
-    residuals = rowwise_distance(
-        region_metric, conformal.response_values, centers, conformal.quantile_grid
-    )
+    residuals = _calibration_residuals(base.mean, conformal, region_metric)
     # an infinite local radius yields a score of -inf, which sorts first:
     # that point is covered for any offset
     scores = residuals - base.radii(conformal.predictors)
@@ -436,8 +442,4 @@ def fit_conformalized_hetero(
     return ConformalizedHeteroModel(base, float(offset))
 
 
-def predict_conformalized(model: ConformalizedHeteroModel, x: np.ndarray) -> PredictionRegion:
-    """Region with the conformally shifted local radius."""
-    return PredictionRegion(
-        model.mean.predict(x), float(model.radii(x)[0]), model.region_metric
-    )
+predict_conformalized = predict_heteroscedastic

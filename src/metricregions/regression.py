@@ -9,25 +9,28 @@ metrics.
 
 Two regression estimators are provided:
 
-* k-nearest-neighbor Fréchet means, with neighbor ties at the cut rank
-  broken by a seeded uniform jitter assigned in a canonical row order so
-  fitted models are invariant to permutations of the training rows;
+* k-nearest-neighbor Fréchet means, with neighbor distance ties broken
+  by a seeded uniform jitter assigned in a canonical row order so fitted
+  models are invariant to permutations of the training rows;
 * global Fréchet regression, whose weights reduce the estimator to
   ordinary linear regression when responses are Euclidean.
 
 ``loo_select_k`` scores a grid of candidate k values per training point
 by a leave-one-out criterion: the mean distance of the LOO neighbor
-responses to their own Fréchet mean.
+responses to their own Fréchet mean.  Every neighbor search in the
+package goes through ``nearest_neighbors``, a KD-tree kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import isotonic_regression
+from scipy.spatial import cKDTree
 
 from . import rng
 from .errors import (
@@ -47,7 +50,6 @@ from .metrics import (
     ResponsePoint,
     rowwise_distance,
     trapezoid_weights,
-    validate_point,
 )
 
 __all__ = [
@@ -63,11 +65,11 @@ __all__ = [
     "fit_knn_frechet",
     "knn_frechet_mean",
     "fit_global_frechet",
-    "predict_global_frechet",
     "loo_select_k",
     "select_global_k",
     "fit_mean",
     "default_k_grid",
+    "nearest_neighbors",
 ]
 
 _FIT_METRICS = (MetricKind.EUCLIDEAN_L2, MetricKind.WASSERSTEIN2)
@@ -136,38 +138,10 @@ class LabeledDataset:
     def response_dim(self) -> int:
         return self.response_values.shape[1]
 
-    def response(self, i: int) -> ResponsePoint:
-        if self.quantile_grid is None:
-            return EuclideanVector(self.response_values[i].copy())
-        return QuantileFunction(self.quantile_grid, self.response_values[i].copy())
-
-    def iter_responses(self) -> Iterator[ResponsePoint]:
-        for i in range(self.n):
-            yield self.response(i)
-
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(
             self.predictors[indices], self.response_values[indices], self.quantile_grid
         )
-
-    @classmethod
-    def from_points(
-        cls, predictors: np.ndarray, responses: Sequence[ResponsePoint]
-    ) -> "LabeledDataset":
-        if len(responses) == 0:
-            raise InvalidDataset("a dataset needs at least one response")
-        first = responses[0]
-        grid = first.grid if isinstance(first, QuantileFunction) else None
-        for i, point in enumerate(responses):
-            if isinstance(point, QuantileFunction) != (grid is not None):
-                raise InvalidDataset("responses mix Euclidean and quantile variants")
-            if grid is not None and not np.array_equal(point.grid, grid):
-                raise InvalidDataset(f"response {i} uses a different level grid")
-            bad = validate_point(point)
-            if bad:
-                raise InvalidDataset(f"response {i}: {bad[0].message}")
-        values = np.stack([point.values for point in responses])
-        return cls(predictors, values, grid)
 
 
 def _wrap_values(values: np.ndarray, grid: np.ndarray | None) -> ResponsePoint:
@@ -241,38 +215,66 @@ def _check_fit_metric(kind: MetricKind, data: LabeledDataset) -> None:
         )
 
 
-def _sq_cross_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, queries (c, p) against points (n, p)."""
-    d2 = (
-        np.einsum("ij,ij->i", queries, queries)[:, None]
-        + np.einsum("ij,ij->i", points, points)[None, :]
-        - 2.0 * (queries @ points.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
+# query-neighbour pairs per block of ``nearest_neighbors``; bounds the
+# kernel's temporaries and those of the per-block reductions
+_BLOCK_PAIRS = 1 << 20
+# relative gap between the tree's k-th and (k+1)-th distances below which
+# the neighbour set may hinge on rounding, so the row is ordered exactly
+_TIE_SLACK = 1e-9
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the broadcast rows of ``a`` and
+    ``b``, from direct coordinate differences summed in coordinate order,
+    so a pair gets the same value whatever shape it is computed in."""
+    d2 = np.square(a[..., 0] - b[..., 0])
+    for j in range(1, a.shape[-1]):
+        d2 += np.square(a[..., j] - b[..., j])
     return d2
 
 
-def _k_smallest(d2: np.ndarray, k: int, tie_jitter) -> np.ndarray:
-    """Per-row indices of the k smallest squared distances.
+def nearest_neighbors(tree: cKDTree, queries: np.ndarray, k: int, jitter=None, reduce=None):
+    """Per query row, the first ``k`` tree points in the total order
+    (squared distance, ``jitter(query)[point]``, point index), in that
+    order; without ``jitter`` the order is (squared distance, point index).
 
-    ``tie_jitter(row)`` supplies a jitter vector used only when the
-    value at the cut rank also occurs outside the selected set, so the
-    fast path is a plain partition.  Final fallback is the index order.
+    Distances are ``_sq_distances``.  The tree only proposes k+1
+    candidates; a row whose (k+1)-th tree distance lies within
+    ``_TIE_SLACK`` of its k-th, or, given ``jitter``, whose first k hold a
+    distance tie, is ordered by a full-row lexsort instead.  Queries run in
+    blocks: ``reduce(idx, rows)`` maps a block's (rows, k) neighbour
+    indices and its query row numbers to per-row results, which are
+    concatenated; without it the indices themselves are returned.
     """
-    n = d2.shape[1]
-    if k > n:
-        raise KTooLarge(f"k={k} exceeds the {n} available points")
-    if k == n:
-        return np.broadcast_to(np.arange(n), d2.shape).copy()
-    idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    sel_vals = np.take_along_axis(d2, idx, axis=1)
-    cut = sel_vals.max(axis=1)
-    n_eq_total = (d2 == cut[:, None]).sum(axis=1)
-    n_eq_sel = (sel_vals == cut[:, None]).sum(axis=1)
-    for r in np.flatnonzero(n_eq_total > n_eq_sel):
-        order = np.lexsort((np.arange(n), tie_jitter(int(r)), d2[r]))
-        idx[r] = order[:k]
-    return idx
+    n = tree.n
+    if not 1 <= k <= n:
+        raise KTooLarge(f"k={k} outside 1..{n}")
+    points = tree.data
+    step = max(1, _BLOCK_PAIRS // (k + 1))
+    parts = []
+    # no queries still make one (empty) block, so the result has its shape
+    for start in range(0, max(queries.shape[0], 1), step):
+        q = queries[start : start + step]
+        if k < n:
+            dist, cand = tree.query(q, k + 1)
+            exact = dist[:, k] <= dist[:, k - 1] * (1.0 + _TIE_SLACK)
+        else:
+            cand = np.broadcast_to(np.arange(n), (q.shape[0], n))
+            exact = np.zeros(q.shape[0], dtype=bool)
+        d2 = _sq_distances(points[cand], q[:, None, :])
+        order = np.lexsort((cand, d2), axis=-1)[:, :k]
+        idx = np.take_along_axis(cand, order, axis=-1)
+        if jitter is not None:
+            d2 = np.take_along_axis(d2, order, axis=-1)
+            exact |= (d2[:, 1:] == d2[:, :-1]).any(axis=1)
+        for r in np.flatnonzero(exact):
+            keys = [np.arange(n), _sq_distances(points, q[r])]
+            if jitter is not None:
+                keys.insert(1, jitter(q[r]))
+            idx[r] = np.lexsort(keys)[:k]
+        rows = np.arange(start, start + q.shape[0])
+        parts.append(idx if reduce is None else reduce(idx, rows))
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +286,9 @@ class KnnFrechetModel:
     """Local Fréchet mean over the k nearest training predictors.
 
     Training rows are stored in canonical order; ``tie_jitter`` holds
-    the per-row uniforms used to resolve neighbor ties at the cut rank,
-    drawn from ``seed`` so a saved model need not store them.
+    the per-row uniforms used to resolve neighbor distance ties, drawn
+    from ``seed`` so a saved model need not store them.  The KD-tree over
+    the training predictors is built on first use.
     """
 
     training: LabeledDataset
@@ -302,19 +305,29 @@ class KnnFrechetModel:
     def quantile_grid(self) -> np.ndarray | None:
         return self.training.quantile_grid
 
+    @property
+    def p(self) -> int:
+        return self.training.p
+
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.training.predictors)
+
     def predict_values(self, queries: np.ndarray) -> np.ndarray:
         queries = _as_query_matrix(queries, self.training.p)
-        X = self.training.predictors
         Y = self.training.response_values
-        n, m = self.training.n, self.training.response_dim
-        out = np.empty((queries.shape[0], m))
-        chunk = max(1, int(4_000_000 / max(n, self.k * m)))
-        for start in range(0, queries.shape[0], chunk):
-            q = queries[start : start + chunk]
-            d2 = _sq_cross_distances(q, X)
-            idx = _k_smallest(d2, self.k, lambda r: self.tie_jitter)
-            out[start : start + q.shape[0]] = Y[idx].mean(axis=1)
-        return out
+
+        def neighbor_means(idx, rows):
+            # added rank by rank, the order in which a mean over the
+            # neighbor axis adds, so the centre equals that mean bitwise
+            total = Y[idx[:, 0]].copy()
+            for j in range(1, self.k):
+                total += Y[idx[:, j]]
+            return total / self.k
+
+        return nearest_neighbors(
+            self._tree, queries, self.k, lambda query: self.tie_jitter, neighbor_means
+        )
 
     def predict(self, x: np.ndarray) -> ResponsePoint:
         return _wrap_values(self.predict_values(x)[0], self.quantile_grid)
@@ -336,14 +349,15 @@ def knn_frechet_mean(model: KnnFrechetModel, x: np.ndarray) -> ResponsePoint:
     return model.predict(x)
 
 
-def _as_query_matrix(queries: np.ndarray, p: int) -> np.ndarray:
+def _as_query_matrix(queries: np.ndarray, p: int | None) -> np.ndarray:
+    """Queries as a (rows, p) matrix; ``p=None`` accepts any width."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 0:
         q = q[None, None]
     elif q.ndim == 1:
         # a single p-dimensional query, or a column of scalar queries
         q = q[None, :] if q.size == p and p > 1 else q[:, None]
-    if q.shape[1] != p:
+    if p is not None and q.shape[1] != p:
         raise DimensionMismatch(f"queries have {q.shape[1]} coordinates, expected {p}")
     return q
 
@@ -370,6 +384,10 @@ class GlobalFrechetModel:
     @property
     def quantile_grid(self) -> np.ndarray | None:
         return self.training.quantile_grid
+
+    @property
+    def p(self) -> int:
+        return self.training.p
 
     def weights(self, queries: np.ndarray) -> np.ndarray:
         queries = _as_query_matrix(queries, self.training.p)
@@ -413,27 +431,24 @@ def fit_global_frechet(data: LabeledDataset, fit_metric: MetricKind) -> GlobalFr
     return GlobalFrechetModel(data, mean_x, np.linalg.inv(cov), fit_metric)
 
 
-def predict_global_frechet(model: GlobalFrechetModel, x: np.ndarray) -> ResponsePoint:
-    """Global Fréchet prediction at a single query point."""
-    return model.predict(x)
-
-
 # ---------------------------------------------------------------------------
 # constant (baseline) estimator
 
 
 @dataclass(frozen=True, eq=False)
 class ConstantMean:
-    """Predicts the same response everywhere; a deliberately crude baseline."""
+    """Predicts the same response everywhere; a deliberately crude baseline
+    that takes queries of any width (``p`` is None)."""
 
     point: ResponsePoint
+    p = None
 
     @property
     def quantile_grid(self) -> np.ndarray | None:
         return self.point.grid if isinstance(self.point, QuantileFunction) else None
 
     def predict_values(self, queries: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        q = _as_query_matrix(queries, None)
         return np.broadcast_to(self.point.values, (q.shape[0], self.point.values.size)).copy()
 
     def predict(self, x: np.ndarray) -> ResponsePoint:
@@ -481,25 +496,34 @@ def loo_select_k(
         raise TooFewSamples("leave-one-out needs at least two rows")
     grid = _clean_k_grid(k_grid, data.n - 1)
     max_k = grid[-1]
-    X, Y = data.predictors, data.response_values
+    Y = data.response_values
     qw = trapezoid_weights(data.quantile_grid) if data.quantile_grid is not None else None
-    scores = np.empty((data.n, len(grid)))
-    chunk = max(1, int(4_000_000 / max(data.n, max_k * data.response_dim)))
-    for start in range(0, data.n, chunk):
-        rows = slice(start, min(start + chunk, data.n))
-        d2 = _sq_cross_distances(X[rows], X)
-        d2[np.arange(d2.shape[0]), np.arange(start, rows.stop)] = np.inf
-        near = np.argsort(d2, axis=1, kind="stable")[:, :max_k]
-        sorted_resp = Y[near]  # (c, max_k, m)
-        prefix = np.cumsum(sorted_resp, axis=1)
+
+    def loo_scores(idx, rows):
+        own = idx == rows[:, None]
+        # more than max_k duplicates of lower index precede the row itself
+        own[~own.any(axis=1), -1] = True
+        near = idx[~own].reshape(idx.shape[0], max_k)
+        out = np.empty((near.shape[0], len(grid)))
+        total = np.zeros((near.shape[0], data.response_dim))
+        summed = 0
         for j, k in enumerate(grid):
-            center = prefix[:, k - 1, :] / k
-            diff = sorted_resp[:, :k, :] - center[:, None, :]
-            if fit_metric is MetricKind.EUCLIDEAN_L2:
-                member = np.sqrt(np.einsum("ckm,ckm->ck", diff, diff))
-            else:
-                member = np.sqrt(np.einsum("ckm,m,ckm->ck", diff, qw, diff))
-            scores[rows, j] = member.mean(axis=1)
+            for r in range(summed, k):
+                total += Y[near[:, r]]
+            summed = k
+            center = total / k
+            member = np.empty((near.shape[0], k))
+            for r in range(k):
+                diff = Y[near[:, r]] - center
+                if qw is None:
+                    member[:, r] = np.sqrt(np.einsum("cm,cm->c", diff, diff))
+                else:
+                    member[:, r] = np.sqrt(np.einsum("cm,m,cm->c", diff, qw, diff))
+            out[:, j] = member.mean(axis=1)
+        return out
+
+    tree = cKDTree(data.predictors)
+    scores = nearest_neighbors(tree, data.predictors, max_k + 1, reduce=loo_scores)
     k_star = np.asarray(grid)[np.argmin(scores, axis=1)]
     return LooKSelection(grid, scores, k_star)
 
@@ -545,6 +569,9 @@ def fit_mean(data: LabeledDataset, spec, seed: int = 0):
         raise InvalidConfig(f"unknown mean estimator kind {spec.kind!r}")
     k = spec.k
     if k is None:
-        grid = spec.k_grid if spec.k_grid else default_k_grid(data.n)
-        k = select_global_k(loo_select_k(data, spec.fit_metric, grid))
+        grid = _clean_k_grid(spec.k_grid or default_k_grid(data.n), data.n - 1)
+        # the argmin over a single candidate is that candidate
+        if len(grid) > 1:
+            grid = (select_global_k(loo_select_k(data, spec.fit_metric, grid)),)
+        k = grid[0]
     return fit_knn_frechet(data, k, spec.fit_metric, seed)

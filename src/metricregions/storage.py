@@ -18,14 +18,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDataset, SchemaError, VersionMismatch
-from .metrics import EuclideanVector, MetricKind, QuantileFunction
+from .metrics import MetricKind, QuantileFunction
 from .regions import (
     ConformalizedHeteroModel,
     HeteroscedasticRegionModel,
     HomoscedasticRegionModel,
     PredictionRegion,
 )
-from .regression import ConstantMean, GlobalFrechetModel, KnnFrechetModel, LabeledDataset
+from .regression import (
+    ConstantMean, GlobalFrechetModel, KnnFrechetModel, LabeledDataset, _wrap_values,
+)
 
 __all__ = [
     "write_dataset_csv",
@@ -36,7 +38,6 @@ __all__ = [
     "write_models_json",
     "read_models_json",
     "write_regions_json",
-    "read_regions_json",
     "write_report_json",
     "write_curves_tsv",
 ]
@@ -236,12 +237,16 @@ def _dataset_to_dict(data: LabeledDataset) -> dict:
     }
 
 
-def _dataset_from_dict(d: dict) -> LabeledDataset:
+def _grid_in(d: dict) -> Optional[np.ndarray]:
     grid = d.get("quantile_grid")
+    return None if grid is None else np.asarray(grid, dtype=np.float64)
+
+
+def _dataset_from_dict(d: dict) -> LabeledDataset:
     return LabeledDataset(
         np.asarray(_require(d, "predictors"), dtype=np.float64),
         np.asarray(_require(d, "response_values"), dtype=np.float64),
-        None if grid is None else np.asarray(grid, dtype=np.float64),
+        _grid_in(d),
     )
 
 
@@ -286,13 +291,7 @@ def _mean_from_dict(d: dict):
         )
     if kind == "constant":
         values = np.asarray(_require(d, "values"), dtype=np.float64)
-        grid = d.get("quantile_grid")
-        point = (
-            EuclideanVector(values)
-            if grid is None
-            else QuantileFunction(np.asarray(grid, dtype=np.float64), values)
-        )
-        return ConstantMean(point)
+        return ConstantMean(_wrap_values(values, _grid_in(d)))
     raise SchemaError(f"unknown mean estimator kind {kind!r}")
 
 
@@ -325,18 +324,18 @@ def model_to_dict(model) -> dict:
     raise SchemaError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def model_from_dict(d: dict):
+def model_from_dict(d: dict, mean_from_dict=_mean_from_dict):
     algorithm = _require(d, "algorithm")
     if algorithm == "homoscedastic":
         return HomoscedasticRegionModel(
-            mean=_mean_from_dict(_require(d, "mean")),
+            mean=mean_from_dict(_require(d, "mean")),
             calibrated_radius=_float_in(_require(d, "calibrated_radius")),
             alpha=float(_require(d, "alpha")),
             region_metric=MetricKind(_require(d, "region_metric")),
         )
     if algorithm == "heteroscedastic-knn":
         return HeteroscedasticRegionModel(
-            mean=_mean_from_dict(_require(d, "mean")),
+            mean=mean_from_dict(_require(d, "mean")),
             calibration_predictors=np.asarray(
                 _require(d, "calibration_predictors"), dtype=np.float64
             ),
@@ -349,7 +348,7 @@ def model_from_dict(d: dict):
             seed=int(_require(d, "seed")),
         )
     if algorithm == "conformalized":
-        base = model_from_dict(_require(d, "base"))
+        base = model_from_dict(_require(d, "base"), mean_from_dict)
         if not isinstance(base, HeteroscedasticRegionModel):
             raise SchemaError("conformalized model needs a heteroscedastic-knn base")
         return ConformalizedHeteroModel(base=base, offset=_float_in(_require(d, "offset")))
@@ -370,7 +369,16 @@ def read_models_json(path) -> list:
     entries = _require(payload, "models")
     if not isinstance(entries, list) or not entries:
         raise SchemaError("model bundle holds no models")
-    return [model_from_dict(e) for e in entries]
+    loaded = []  # (mean block, mean) pairs: equal blocks share one mean
+
+    def shared_mean(block: dict):
+        for seen, mean in loaded:
+            if seen == block:
+                return mean
+        loaded.append((block, _mean_from_dict(block)))
+        return loaded[-1][1]
+
+    return [model_from_dict(e, shared_mean) for e in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -400,36 +408,8 @@ def write_regions_json(path, entries: Sequence[dict]) -> None:
     _dump_json(path, {"format": REGIONS_FORMAT, "version": FORMAT_VERSION, "regions": rows})
 
 
-def read_regions_json(path) -> list[dict]:
-    payload = _load_json(path, REGIONS_FORMAT)
-    out = []
-    for e in _require(payload, "regions"):
-        center = _require(e, "center")
-        grid = center.get("quantile_grid")
-        values = np.asarray(_require(center, "values"), dtype=np.float64)
-        point = (
-            EuclideanVector(values)
-            if grid is None
-            else QuantileFunction(np.asarray(grid, dtype=np.float64), values)
-        )
-        out.append(
-            {
-                "query": np.asarray(_require(e, "query"), dtype=np.float64),
-                "alpha": float(_require(e, "alpha")),
-                "region": PredictionRegion(
-                    point, _float_in(_require(e, "radius")), MetricKind(_require(e, "region_metric"))
-                ),
-            }
-        )
-    return out
-
-
 def write_report_json(path, report: dict) -> None:
     _dump_json(path, {"format": REPORT_FORMAT, "version": FORMAT_VERSION, **report})
-
-
-def read_report_json(path) -> dict:
-    return _load_json(path, REPORT_FORMAT)
 
 
 def write_curves_tsv(path, x: np.ndarray, columns: dict) -> None:

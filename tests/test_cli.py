@@ -238,6 +238,48 @@ def test_fit_bundle_matches_direct_public_calls(tmp_path, algorithm):
     assert bundle.read_bytes() == expected.read_bytes()
 
 
+def test_hetero_tuned_selects_the_mean_k_once(tmp_path, monkeypatch):
+    import metricregions.regression as regression
+
+    calls = []
+    real = regression.loo_select_k
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "loo_select_k", counting)
+    cfg = _write_config(
+        tmp_path / "f.ini",
+        "[data]\nscenario = setting1\nn = 400\n\n"
+        "[model]\nalgorithm = hetero-tuned\nalpha = 0.2, 0.1, 0.05\n",
+    )
+    assert _run(["fit", "--config", cfg, "--seed", 3, "--out", tmp_path / "m.json"]) == 0
+    assert len(calls) == 1
+    models = read_models_json(tmp_path / "m.json")
+    assert len(models) == 3 and len({m.mean.k for m in models}) == 1
+
+
+def test_predict_computes_centres_once_per_distinct_mean(fitted_bundle, tmp_path, monkeypatch):
+    from metricregions.regression import KnnFrechetModel
+
+    csv_path, bundle = fitted_bundle
+    models = read_models_json(bundle)
+    assert len(models) == 2 and models[0].mean is models[1].mean
+    rows = []
+    real = KnnFrechetModel.predict_values
+
+    def counting(self, queries):
+        out = real(self, queries)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(KnnFrechetModel, "predict_values", counting)
+    cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bundle}\nqueries = {csv_path}\n")
+    assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 0
+    assert rows == [80]
+
+
 # ---------------------------------------------------------------------------
 # error channels
 
@@ -271,6 +313,22 @@ def test_hetero_tuned_rejects_mean_settings_it_cannot_use(tmp_path, capsys, key,
     )
     assert _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"]) == 2
     assert f"[model] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("[model]\nmean_kk = 8\n", "[model] mean_kk"),
+        ("[model]\nrandomized_ties = true\n", "[model] randomized_ties"),
+        ("[modle]\nalpha = 0.1\n", "[modle]"),
+    ],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, extra, named):
+    cfg = _write_config(tmp_path / "f.ini", "[data]\nscenario = setting1\nn = 40\n\n" + extra)
+    assert _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "unknown" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_missing_required_key_is_config_error(tmp_path, capsys):

@@ -30,6 +30,7 @@ from metricregions.regression import (
     split_three,
 )
 from metricregions.simulate import Setting1, Setting4, generate
+from metricregions.storage import model_from_dict, model_to_dict
 
 
 def _scalar_dataset(generator, n, loc=0.0, scale=1.0):
@@ -374,3 +375,93 @@ def test_radii_scale_with_response_units(rng_np):
     bh = fit_homoscedastic(b_train, b_calib, 0.1, mean, MetricKind.EUCLIDEAN_L2, seed=2)
     assert bh.calibrated_radius == 2.0 * ah.calibrated_radius
 
+
+
+# ---------------------------------------------------------------------------
+# local radii and tuning against brute force
+
+
+def _brute_radii(model, queries, k):
+    # the ceil((k+1)(1-alpha))-th smallest residual of the first k calibration
+    # points in (direct squared distance, query-seeded jitter, index) order
+    X, n = model.calibration_predictors, model.n_calibration
+    j = math.ceil((k + 1) * (1.0 - model.alpha))
+    out = np.full(queries.shape[0], np.inf)
+    for r, q in enumerate(queries):
+        if j > k:
+            continue
+        d2 = sum((X[:, c] - q[c]) ** 2 for c in range(X.shape[1]))
+        jitter = rng.stream(rng.point_seed(model.seed, q), "neighbor-ties").random(n)
+        near = np.lexsort((np.arange(n), jitter, d2))[:k]
+        out[r] = np.sort(model.calibration_residuals[near])[j - 1]
+    return out
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+@pytest.mark.parametrize("p", [1, 3])
+def test_tune_coverage_and_radii_match_brute_force(lattice, p):
+    g = np.random.default_rng(40 + p)
+    n = 120
+    # an integer lattice of side 4 makes distance ties the rule
+    x = g.integers(0, 4, (n, p)).astype(float) if lattice else g.normal(size=(n, p))
+    data = LabeledDataset(x, x.sum(axis=1) + g.normal(size=n))
+    train, calib = split_dataset(data, SplitConfig(0.5, seed=p))
+    tune_set = LabeledDataset(
+        g.integers(0, 4, (40, p)).astype(float) if lattice else g.normal(size=(40, p)),
+        g.normal(size=40),
+    )
+    model = fit_heteroscedastic_knn(
+        train, calib, 0.2, 7, MeanSpec("knn", k=5), MetricKind.EUCLIDEAN_L2, seed=p + 3
+    )
+    grid = (1, 4, calib.n // 2, calib.n - 1, calib.n)
+    result = tune_k_marginal(model, grid, tune_set)
+    centers = model.center_values(tune_set.predictors)
+    residuals = np.abs(tune_set.response_values[:, 0] - centers[:, 0])
+    for i, k in enumerate(grid):
+        expected = _brute_radii(model, tune_set.predictors, k)
+        assert result.coverage[i] == np.mean(residuals <= expected), k
+        tuned = with_radius_k(model, k).radii(tune_set.predictors)
+        assert np.array_equal(tuned, expected), k
+
+
+# ---------------------------------------------------------------------------
+# query shapes
+
+
+def _shape_models(p):
+    g = np.random.default_rng(50 + p)
+    x = g.uniform(0.0, 5.0, (80, p))
+    data = LabeledDataset(x, x.sum(axis=1) + g.normal(size=80))
+    train, calib, conformal = split_three(data, 0.4, 0.3, seed=p)
+    metric = MetricKind.EUCLIDEAN_L2
+    means = [MeanSpec("knn", k=5), MeanSpec("global"), ConstantMean(EuclideanVector([0.0]))]
+    models = []
+    for mean in means:
+        models.append(fit_homoscedastic(train, calib, 0.2, mean, metric))
+        models.append(fit_heteroscedastic_knn(train, calib, 0.2, 6, mean, metric))
+        models.append(fit_conformalized_hetero(train, calib, conformal, 0.2, 6, mean, metric))
+    # reloaded models take the same shapes as fitted ones
+    return models + [model_from_dict(model_to_dict(m)) for m in models]
+
+
+@pytest.mark.parametrize(
+    "p, queries, rows",
+    [
+        (1, 0.5, 1),
+        (1, np.array([0.5, 1.5, 2.5]), 3),
+        (1, np.array([[0.5], [1.5]]), 2),
+        (3, np.array([0.5, 1.5, 2.5]), 1),
+        (3, np.array([[0.5, 1.5, 2.5], [1.0, 1.0, 1.0]]), 2),
+    ],
+)
+def test_centers_and_radii_agree_on_query_rows(p, queries, rows):
+    for model in _shape_models(p):
+        centers = model.center_values(queries)
+        radii = model.radii(queries)
+        constant_homoscedastic = isinstance(model, HomoscedasticRegionModel) and isinstance(
+            model.mean, ConstantMean
+        )
+        # a constant mean under one global radius does not know the query
+        # width, so it reads a 1-d array as a column of scalar queries
+        expected = queries.size if constant_homoscedastic and np.ndim(queries) == 1 else rows
+        assert centers.shape[0] == radii.shape[0] == expected, type(model).__name__

@@ -26,11 +26,14 @@ from metricregions.regression import (
     fit_mean,
     knn_frechet_mean,
     loo_select_k,
+    nearest_neighbors,
     select_global_k,
     split_dataset,
     split_three,
 )
 from metricregions import rng
+from metricregions.metrics import trapezoid_weights
+from scipy.spatial import cKDTree
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +385,112 @@ def test_constant_mean_predicts_same_point_everywhere():
     mean = ConstantMean(EuclideanVector([2.0, 7.0]))
     out = mean.predict_values(np.array([[0.0], [5.0], [9.0]]))
     assert np.array_equal(out, np.array([[2.0, 7.0]] * 3))
+
+
+# ---------------------------------------------------------------------------
+# neighbor kernel against brute force
+
+
+def _direct_sq_distances(points, q):
+    # squared distances from coordinate differences, summed in coordinate order
+    return sum((points[:, j] - q[j]) ** 2 for j in range(points.shape[1]))
+
+
+def _brute_neighbors(points, queries, k, jitter=None):
+    n = points.shape[0]
+    out = []
+    for q in queries:
+        keys = (np.arange(n), _direct_sq_distances(points, q))
+        if jitter is not None:
+            keys = (np.arange(n), jitter(q), keys[1])
+        out.append(np.lexsort(keys)[:k])
+    return np.array(out)
+
+
+def _predictors(lattice, p, n, seed):
+    g = np.random.default_rng(seed)
+    # an integer lattice of side 4 makes distance ties the rule
+    return g.integers(0, 4, (n, p)).astype(float) if lattice else g.normal(size=(n, p))
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("with_jitter", [False, True])
+def test_kernel_matches_direct_distance_lexsort(lattice, p, with_jitter):
+    n = 40
+    points = _predictors(lattice, p, n, seed=p)
+    queries = _predictors(lattice, p, 25, seed=p + 10)
+    jitter = (lambda q: rng.stream(rng.point_seed(5, q)).random(n)) if with_jitter else None
+    tree = cKDTree(points)
+    for k in (1, n // 2, n - 1, n):
+        got = nearest_neighbors(tree, queries, k, jitter)
+        assert np.array_equal(got, _brute_neighbors(points, queries, k, jitter)), k
+
+
+def test_kernel_reduce_sees_blocks_and_row_numbers(monkeypatch):
+    import metricregions.regression as regression
+
+    monkeypatch.setattr(regression, "_BLOCK_PAIRS", 13)  # blocks of two queries
+    points = _predictors(True, 1, 30, seed=3)
+    queries = _predictors(True, 1, 11, seed=4)
+    blocks = []
+
+    def reduce(idx, rows):
+        blocks.append(rows)
+        return np.c_[rows, idx]
+
+    seen = nearest_neighbors(cKDTree(points), queries, 5, reduce=reduce)
+    assert [len(rows) for rows in blocks] == [2, 2, 2, 2, 2, 1]
+    assert np.array_equal(seen[:, 0], np.arange(11))
+    assert np.array_equal(seen[:, 1:], _brute_neighbors(points, queries, 5))
+    empty = nearest_neighbors(cKDTree(points), queries[:0], 5)
+    assert empty.shape == (0, 5)
+    with pytest.raises(KTooLarge):
+        nearest_neighbors(cKDTree(points), queries, 31)
+
+
+def _brute_loo_scores(data, grid, qw=None):
+    X, Y = data.predictors, data.response_values
+    scores = np.empty((data.n, len(grid)))
+    for i in range(data.n):
+        d2 = _direct_sq_distances(X, X[i])
+        d2[i] = np.inf
+        order = np.lexsort((np.arange(data.n), d2))
+        for j, k in enumerate(grid):
+            members = Y[order[:k]]
+            diff = members - members.mean(axis=0)
+            sq = (diff**2).sum(axis=1) if qw is None else (diff**2) @ qw
+            scores[i, j] = np.sqrt(sq).mean()
+    return scores
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+@pytest.mark.parametrize("p", [1, 3])
+def test_loo_scores_match_brute_force(lattice, p):
+    n = 40
+    g = np.random.default_rng(p + 20)
+    data = LabeledDataset(_predictors(lattice, p, n, seed=p + 30), g.normal(size=(n, 2)))
+    grid = (1, n // 2, n - 1)
+    sel = loo_select_k(data, MetricKind.EUCLIDEAN_L2, grid)
+    np.testing.assert_allclose(sel.scores, _brute_loo_scores(data, grid), rtol=1e-12, atol=1e-15)
+
+
+def test_loo_wasserstein_scores_match_brute_force():
+    n, grid_levels = 30, np.array([0.1, 0.4, 0.6, 0.9])
+    g = np.random.default_rng(8)
+    Y = np.sort(g.normal(size=(n, grid_levels.size)), axis=1)
+    data = LabeledDataset(_predictors(True, 1, n, seed=9), Y, grid_levels)
+    grid = (1, 7, n - 1)
+    sel = loo_select_k(data, MetricKind.WASSERSTEIN2, grid)
+    expected = _brute_loo_scores(data, grid, trapezoid_weights(grid_levels))
+    np.testing.assert_allclose(sel.scores, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_single_candidate_grid_skips_loo(rng_np, monkeypatch):
+    import metricregions.regression as regression
+
+    data = LabeledDataset(rng_np.normal(size=(30, 1)), rng_np.normal(size=(30, 1)))
+    monkeypatch.setattr(regression, "loo_select_k", None)  # must not be called
+    assert fit_mean(data, MeanSpec("knn", k_grid=(6,))).k == 6
+    with pytest.raises(KTooLarge):
+        fit_mean(data, MeanSpec("knn", k_grid=(30,)))
