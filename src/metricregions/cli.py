@@ -45,7 +45,6 @@ from .errors import (
 from .evaluate import evaluate_model
 from .metrics import MetricKind
 from .regions import (
-    PredictionRegion,
     fit_conformalized_hetero,
     fit_hetero_tuned,
     fit_heteroscedastic_knn,
@@ -55,7 +54,6 @@ from .regression import (
     LabeledDataset,
     MeanSpec,
     SplitConfig,
-    _wrap_values,
     fit_mean,
     split_dataset,
     split_three,
@@ -70,6 +68,7 @@ from .simulate import (
     scenario_tag,
 )
 from .storage import (
+    RegionColumns,
     read_dataset_csv,
     read_models_json,
     read_queries_csv,
@@ -352,21 +351,17 @@ def _cmd_predict(cfg: _Config, args) -> None:
     for model in models:
         if id(model.mean) not in centers:
             centers[id(model.mean)] = model.center_values(queries)
-    radii = [model.radii(queries) for model in models]
-    entries = [
-        {
-            "query": queries[i],
-            "alpha": model.alpha,
-            "region": PredictionRegion(
-                _wrap_values(centers[id(model.mean)][i], model.mean.quantile_grid),
-                float(model_radii[i]),
-                model.region_metric,
-            ),
-        }
-        for i in range(queries.shape[0])
-        for model, model_radii in zip(models, radii)
+    columns = [
+        RegionColumns(
+            model.alpha,
+            model.region_metric,
+            model.mean.quantile_grid,
+            centers[id(model.mean)],
+            model.radii(queries),
+        )
+        for model in models
     ]
-    write_regions_json(args.out, entries)
+    write_regions_json(args.out, queries, columns)
 
 
 def _report_row(report) -> dict:

@@ -239,7 +239,8 @@ def _local_quantile(neighbor_res: np.ndarray, alpha: float) -> np.ndarray:
     j = math.ceil((k + 1) * (1.0 - alpha))
     if j > k:
         return np.full(neighbor_res.shape[0], np.inf)
-    return np.partition(neighbor_res, j - 1, axis=1)[:, j - 1]
+    # a copy: a column view would keep the whole (rows, k) block alive
+    return np.partition(neighbor_res, j - 1, axis=1)[:, j - 1].copy()
 
 
 def fit_heteroscedastic_knn(

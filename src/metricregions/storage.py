@@ -6,6 +6,15 @@ cannot carry IEEE infinities, so non-finite floats are stored as the
 strings "inf", "-inf", and "nan" and decoded back on load.  Readers
 skip keys they do not use, so older bundles of the same version that
 still carry since-dropped fields load unchanged.
+
+Every JSON file (bundles, regions, reports) comes from one emitter with
+a fixed byte layout: object keys sorted, each item on its own line
+indented by one space per nesting level, "," between items and ": "
+after keys, floats as ``repr``, integers as ``int`` text, the quoted
+strings above for non-finite floats, ``null``/``true``/``false``, and a
+final newline.  These are the bytes ``json.dump(..., indent=1,
+sort_keys=True)`` gives for the same values.  ``write_regions_json``
+writes its rows in blocks of queries straight from the arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Optional, Sequence
+from array import array
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +33,6 @@ from .regions import (
     ConformalizedHeteroModel,
     HeteroscedasticRegionModel,
     HomoscedasticRegionModel,
-    PredictionRegion,
 )
 from .regression import (
     ConstantMean, GlobalFrechetModel, KnnFrechetModel, LabeledDataset, _wrap_values,
@@ -37,6 +46,7 @@ __all__ = [
     "model_from_dict",
     "write_models_json",
     "read_models_json",
+    "RegionColumns",
     "write_regions_json",
     "write_report_json",
     "write_curves_tsv",
@@ -146,45 +156,99 @@ def read_queries_csv(path) -> np.ndarray:
             raise SchemaError("header row: first column must be 'x_1'")
         if len(header) > p:
             _parse_header(header)  # anything after the predictors must be a valid response block
-        rows = []
+        values = array("d")  # row-major, without one list per row
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaError(f"row {i}: expected {len(header)} columns, found {len(row)}")
-            vals = []
             for j in range(p):
                 try:
-                    vals.append(float(row[j]))
+                    values.append(float(row[j]))
                 except ValueError:
                     raise SchemaError(
                         f"row {i}, column {header[j]!r}: {row[j]!r} is not a number"
                     ) from None
-            rows.append(vals)
-    if not rows:
+    if not values:
         raise SchemaError("no data rows after the header")
-    return np.asarray(rows, dtype=np.float64)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, p)
 
 
 # ---------------------------------------------------------------------------
 # JSON plumbing
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+# the byte layout is the one the module docstring states
+_QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _float_text(f: float) -> str:
+    text = float.__repr__(f)
+    return text if math.isfinite(f) else _QUOTED[text]
+
+
+def _float_texts(a: np.ndarray) -> list[str]:
+    """The text of every value of a float array, in C order."""
+    texts = list(map(float.__repr__, a.ravel().tolist()))
+    if not np.isfinite(a).all():
+        texts = [_QUOTED.get(t, t) for t in texts]
+    return texts
+
+
+def _wrap(items: Sequence[str], level: int, opening: str = "[", closing: str = "]") -> str:
+    """A JSON array (or object) at indent ``level`` around encoded items."""
+    if not items:
+        return opening + closing
+    inner = "\n" + " " * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + " " * level + closing
+
+
+def _array_rows(a: np.ndarray, level: int) -> list[str]:
+    """Each row of a 2-d float array as a JSON array at indent ``level``."""
+    texts = _float_texts(a)
+    m = a.shape[1]
+    if m == 0:
+        return ["[]"] * a.shape[0]
+    inner = "\n" + " " * (level + 1)
+    opening, sep, closing = "[" + inner, "," + inner, "\n" + " " * level + "]"
+    return [opening + sep.join(texts[i:i + m]) + closing for i in range(0, len(texts), m)]
+
+
+def _encode_array(a: np.ndarray, level: int) -> str:
+    if a.dtype.kind != "f" or a.ndim == 0:
+        return _encode(a.tolist(), level)
+    a = np.asarray(a, dtype=np.float64)
+    # innermost rows first, then each outer axis groups the texts below it
+    lists = _array_rows(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), level + a.ndim - 1)
+    for axis in range(a.ndim - 2, -1, -1):
+        size, depth = a.shape[axis], level + axis
+        lists = [
+            _wrap(lists[i * size:(i + 1) * size], depth)
+            for i in range(math.prod(a.shape[:axis]))
+        ]
+    return lists[0]
+
+
+def _encode(obj, level: int = 0) -> str:
+    """``obj`` as JSON text whose first line sits at indent ``level``."""
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isfinite(f):
-            return f
-        return "nan" if math.isnan(f) else ("inf" if f > 0 else "-inf")
-    return obj
+        return _float_text(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _encode_array(obj, level)
+    if isinstance(obj, (list, tuple)):
+        return _wrap([_encode(v, level + 1) for v in obj], level)
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be strings")
+        items = [f"{json.dumps(k)}: {_encode(obj[k], level + 1)}" for k in sorted(obj)]
+        return _wrap(items, level, "{", "}")
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 _SPECIALS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
@@ -200,8 +264,7 @@ def _float_in(v) -> float:
 
 def _dump_json(path, payload: dict) -> None:
     with open(path, "w", newline="") as fh:
-        json.dump(_jsonify(payload), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_encode(payload) + "\n")
 
 
 def _load_json(path, expected_format: str) -> dict:
@@ -385,27 +448,69 @@ def read_models_json(path) -> list:
 # regions, reports, curves
 
 
-def _center_to_dict(center) -> dict:
-    if isinstance(center, QuantileFunction):
-        return {"quantile_grid": center.grid, "values": center.values}
-    return {"quantile_grid": None, "values": center.values}
+class RegionColumns(NamedTuple):
+    """One model's regions at every query row: ``centers`` is an (n, m)
+    float array, ``radii`` an (n,) float array, and ``quantile_grid`` is
+    None for vector responses."""
+
+    alpha: float
+    region_metric: MetricKind
+    quantile_grid: Optional[np.ndarray]
+    centers: np.ndarray
+    radii: np.ndarray
 
 
-def write_regions_json(path, entries: Sequence[dict]) -> None:
-    """Entries carry ``query`` (predictor row), ``alpha``, and ``region``."""
-    rows = []
-    for e in entries:
-        region: PredictionRegion = e["region"]
-        rows.append(
+# queries formatted per write; bounds the text held in memory
+_ROW_BLOCK = 4096
+# stands in for the per-row parts when a row's constant text is encoded
+_HOLE = "\0"
+
+
+def write_regions_json(path, queries: np.ndarray, columns: Sequence[RegionColumns]) -> None:
+    """One region row per (query, model): query by query, and each
+    query's rows in ``columns`` order.  ``queries`` is the (n, p) float
+    array the columns were computed at.  Rows are formatted straight
+    from the arrays, one block of queries at a time, and each block is
+    written as soon as it is done."""
+    n = queries.shape[0] if columns else 0
+    hole = _encode(_HOLE)
+    document = {"format": REGIONS_FORMAT, "version": FORMAT_VERSION, "regions": [_HOLE] if n else []}
+    head, *tail = _encode(document).split(hole)
+    # the constant text of each model's rows; keys sort as alpha,
+    # center {quantile_grid, values}, query, radius, region_metric, so
+    # the holes split it around the centre values, the query and the radius
+    templates = [
+        _encode(
             {
-                "query": np.asarray(e["query"], dtype=np.float64),
-                "alpha": float(e["alpha"]),
-                "region_metric": region.region_metric.value,
-                "center": _center_to_dict(region.center),
-                "radius": region.radius,
-            }
-        )
-    _dump_json(path, {"format": REGIONS_FORMAT, "version": FORMAT_VERSION, "regions": rows})
+                "alpha": float(c.alpha),
+                "center": {"quantile_grid": c.quantile_grid, "values": _HOLE},
+                "query": _HOLE,
+                "radius": _HOLE,
+                "region_metric": c.region_metric.value,
+            },
+            2,
+        ).split(hole)
+        for c in columns
+    ]
+    separator = ",\n  "  # between the items of the regions list
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        for start in range(0, n, _ROW_BLOCK):
+            block = slice(start, min(start + _ROW_BLOCK, n))
+            query_rows = _array_rows(queries[block], 3)
+            per_model = [
+                (t, _array_rows(c.centers[block], 4), _float_texts(c.radii[block]))
+                for t, c in zip(templates, columns)
+            ]
+            rows = [
+                t[0] + values[i] + t[1] + query + t[2] + radii[i] + t[3]
+                for i, query in enumerate(query_rows)
+                for t, values, radii in per_model
+            ]
+            if start:
+                fh.write(separator)
+            fh.write(separator.join(rows))
+        fh.write("".join(tail) + "\n")
 
 
 def write_report_json(path, report: dict) -> None:

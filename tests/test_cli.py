@@ -27,7 +27,18 @@ from metricregions.regression import (
     split_three,
 )
 from metricregions.simulate import Setting1, generate
-from metricregions.storage import read_models_json, write_models_json
+from metricregions.storage import (
+    FORMAT_VERSION,
+    MODELS_FORMAT,
+    REGIONS_FORMAT,
+    REPORT_FORMAT,
+    model_to_dict,
+    read_models_json,
+    read_queries_csv,
+    write_models_json,
+)
+
+from json_reference import reference_dumps
 
 
 def _write_config(path, text):
@@ -281,6 +292,153 @@ def test_predict_computes_centres_once_per_distinct_mean(fitted_bundle, tmp_path
 
 
 # ---------------------------------------------------------------------------
+# byte contract: every JSON file equals the stdlib reference encoding
+
+
+def _reference_regions(bundle, queries_csv) -> bytes:
+    """The regions file as the per-row writer built it: one dict per
+    (query, model), then the stdlib encoder."""
+    models = sorted(read_models_json(bundle), key=lambda m: -m.alpha)
+    queries = read_queries_csv(queries_csv)
+    columns = [(m, m.center_values(queries), m.radii(queries)) for m in models]
+    rows = [
+        {
+            "query": queries[i],
+            "alpha": float(m.alpha),
+            "region_metric": m.region_metric.value,
+            "center": {"quantile_grid": m.mean.quantile_grid, "values": centers[i]},
+            "radius": float(radii[i]),
+        }
+        for i in range(queries.shape[0])
+        for m, centers, radii in columns
+    ]
+    return reference_dumps({"format": REGIONS_FORMAT, "version": FORMAT_VERSION, "regions": rows})
+
+
+def _predict(tmp_path, bundle, queries_csv):
+    cfg = _write_config(
+        tmp_path / "p.ini", f"[predict]\nmodel = {bundle}\nqueries = {queries_csv}\n"
+    )
+    out = tmp_path / "regions.json"
+    assert _run(["predict", "--config", cfg, "--out", out]) == 0
+    return out.read_bytes()
+
+
+_BYTE_BUNDLES = {
+    # quantile-grid centres under the sup distance between quantile functions
+    "wasserstein-quantile-sup": (
+        "wasserstein", "algorithm = hetero-knn\nalpha = 0.2, 0.1\nmean_k = 6\nk = 15\n"
+        "region_metric = quantile-sup\n",
+    ),
+    # alpha = 0.01 at k = 10 asks for a rank past k: every local radius is infinite
+    "infinite-radii": (
+        "setting2", "algorithm = hetero-knn\nalpha = 0.2, 0.01\nmean_k = 6\nk = 10\n",
+    ),
+    "conformal-hetero": (
+        "setting1", "algorithm = conformal-hetero\nalpha = 0.2, 0.05\nmean_k = 6\nk = 20\n",
+    ),
+    "homoscedastic-global": (
+        "setting3", "algorithm = homoscedastic\nalpha = 0.2, 0.1\nmean = global\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BYTE_BUNDLES))
+def test_predict_bytes_match_per_row_reference(tmp_path, case):
+    scenario, model = _BYTE_BUNDLES[case]
+    cfg = _write_config(
+        tmp_path / "f.ini", f"[data]\nscenario = {scenario}\nn = 160\n\n[model]\n{model}"
+    )
+    bundle, queries = tmp_path / "m.json", tmp_path / "q.csv"
+    assert _run(["fit", "--config", cfg, "--seed", 8, "--out", bundle]) == 0
+    assert _run(["simulate", "--config", cfg, "--seed", 9, "--out", queries]) == 0
+    got = _predict(tmp_path, bundle, queries)
+    assert got == _reference_regions(bundle, queries)
+    if case == "infinite-radii":
+        assert b'"radius": "inf"' in got
+
+
+def test_predict_bytes_match_reference_on_one_query(fitted_bundle, tmp_path):
+    csv_path, bundle = fitted_bundle
+    one = tmp_path / "one.csv"
+    one.write_text("x_1\n2.5\n", encoding="utf-8")
+    assert _predict(tmp_path, bundle, one) == _reference_regions(bundle, one)
+
+
+def test_predict_bytes_do_not_depend_on_the_row_block(fitted_bundle, tmp_path, monkeypatch):
+    import metricregions.storage as storage
+
+    csv_path, bundle = fitted_bundle
+    assert 80 % 7 != 0
+    monkeypatch.setattr(storage, "_ROW_BLOCK", 7)
+    assert _predict(tmp_path, bundle, csv_path) == _reference_regions(bundle, csv_path)
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["homoscedastic", "hetero-knn", "hetero-tuned", "conformal-hetero"]
+)
+def test_models_json_matches_stdlib_reference(tmp_path, algorithm):
+    models = _direct_models(algorithm, 17)
+    path = tmp_path / "m.json"
+    write_models_json(path, models)
+    expected = {
+        "format": MODELS_FORMAT,
+        "version": FORMAT_VERSION,
+        "models": [model_to_dict(m) for m in models],
+    }
+    assert path.read_bytes() == reference_dumps(expected)
+
+
+def _capture_reports(monkeypatch) -> list:
+    import metricregions.cli as cli_module
+
+    seen = []
+    real = cli_module.write_report_json
+
+    def capturing(path, report):
+        real(path, report)
+        seen.append((path, report))
+
+    monkeypatch.setattr(cli_module, "write_report_json", capturing)
+    return seen
+
+
+def _assert_reports_match_reference(seen):
+    assert seen
+    for path, report in seen:
+        expected = {"format": REPORT_FORMAT, "version": FORMAT_VERSION, **report}
+        assert open(path, "rb").read() == reference_dumps(expected)
+
+
+def test_evaluate_report_matches_stdlib_reference(fitted_bundle, tmp_path, monkeypatch):
+    csv_path, bundle = fitted_bundle
+    seen = _capture_reports(monkeypatch)
+    cfg = _write_config(
+        tmp_path / "e.ini",
+        f"[evaluate]\nmodel = {bundle}\neval_input = {csv_path}\ncurves = {tmp_path / 'c.tsv'}\n",
+    )
+    assert _run(["evaluate", "--config", cfg, "--out", tmp_path / "report.json"]) == 0
+    assert all(row["region_error"] is None for row in seen[0][1]["reports"])
+    _assert_reports_match_reference(seen)
+
+
+def test_replicate_report_matches_stdlib_reference(tmp_path, monkeypatch):
+    seen = _capture_reports(monkeypatch)
+    cfg = _write_config(
+        tmp_path / "c.ini",
+        _REPLICATE_CONFIG.format(
+            bundle=tmp_path / "unused.json",
+            curves=tmp_path / "e.tsv",
+            b=2,
+            rep_curves=tmp_path / "curves.tsv",
+        ),
+    )
+    assert _run(["replicate", "--config", cfg, "--seed", 12, "--out", tmp_path / "rep.json"]) == 0
+    assert (tmp_path / "curves.tsv").exists()
+    _assert_reports_match_reference(seen)
+
+
+# ---------------------------------------------------------------------------
 # error channels
 
 
@@ -294,6 +452,16 @@ def test_malformed_csv_names_row_and_column(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "row 4" in err and "y_1" in err and "oops" in err
+
+
+def test_malformed_query_file_names_row_and_column(fitted_bundle, tmp_path, capsys):
+    _, bundle = fitted_bundle
+    bad = tmp_path / "q.csv"
+    bad.write_text("x_1\n0.5\n1.5\nnope\n", encoding="utf-8")
+    cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bundle}\nqueries = {bad}\n")
+    assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
+    err = capsys.readouterr().err
+    assert "row 4, column 'x_1': 'nope' is not a number" in err
 
 
 def test_unknown_algorithm_is_config_error(tmp_path, capsys):
