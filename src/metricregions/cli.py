@@ -59,11 +59,8 @@ from .regression import (
     split_three,
 )
 from .simulate import (
-    GaussianMulti,
     ScenarioSpec,
-    WassersteinExample,
     generate,
-    predictor_range,
     scenario_from_tag,
     scenario_tag,
 )
@@ -374,22 +371,10 @@ def _report_row(report) -> dict:
     }
 
 
-def _eval_grid(spec: Optional[ScenarioSpec], eval_set: LabeledDataset, points: int):
-    if eval_set.p != 1:
-        return None
-    if spec is not None:
-        lo, hi = predictor_range(spec)
-    else:
-        lo = float(eval_set.predictors.min())
-        hi = float(eval_set.predictors.max())
-    return np.linspace(lo, hi, points)
-
-
-def _evaluate_models(models, eval_set, x_grid, grid_points, spec, mc_draws, seed) -> list:
+def _evaluate_models(models, eval_set, grid_points, spec, mc_draws, seed) -> list:
     return [
         evaluate_model(
-            model, eval_set, x_grid=x_grid, grid_points=grid_points,
-            spec=spec if mc_draws > 0 else None, mc_draws=mc_draws,
+            model, eval_set, grid_points=grid_points, spec=spec, mc_draws=mc_draws,
             seed=rng.derive_seed(seed, "mc", i),
         )
         for i, model in enumerate(models)
@@ -408,17 +393,17 @@ def _cmd_evaluate(cfg: _Config, args) -> None:
         raise InvalidConfig("[evaluate]: need 'eval_input' or a [data] scenario with 'eval_n'")
     grid_points = cfg.get_int("evaluate", "grid_points", 101)
     mc_draws = cfg.get_int("evaluate", "mc_draws", 0)
-    x_grid = _eval_grid(spec, eval_set, grid_points)
     rows = []
     curves = {}
-    for report in _evaluate_models(models, eval_set, x_grid, grid_points, spec, mc_draws, seed):
+    for report in _evaluate_models(models, eval_set, grid_points, spec, mc_draws, seed):
         rows.append(_report_row(report))
         if report.curve is not None:
             curves[f"alpha_{report.alpha}"] = report.curve.values
     write_report_json(args.out, {"reports": rows})
     curves_path = cfg.get_str("evaluate", "curves", None)
-    if curves_path and curves and x_grid is not None:
-        write_curves_tsv(curves_path, x_grid, curves)
+    if curves_path and curves:
+        # every report is smoothed on the same grid
+        write_curves_tsv(curves_path, report.curve.x, curves)
 
 
 def _aggregate(values: list) -> Optional[dict]:
@@ -442,11 +427,6 @@ def _cmd_replicate(cfg: _Config, args) -> None:
     eval_n = cfg.get_int("replicate", "eval_n", 2000)
     grid_points = cfg.get_int("replicate", "grid_points", 101)
     mc_draws = cfg.get_int("replicate", "mc_draws", 0)
-    lo, hi = predictor_range(spec)
-    scalar_x = len(spec.coefficients) == 1 if isinstance(spec, WassersteinExample) else (
-        spec.predictor_dim == 1 if isinstance(spec, GaussianMulti) else True
-    )
-    x_grid = np.linspace(lo, hi, grid_points) if scalar_x else None
 
     def one(b: int):
         try:
@@ -454,7 +434,7 @@ def _cmd_replicate(cfg: _Config, args) -> None:
             data = generate(spec, n, rep_seed)
             models = _fit_models(cfg, data, rep_seed)
             eval_set = generate(spec, eval_n, rng.derive_seed(rep_seed, "eval"))
-            return _evaluate_models(models, eval_set, x_grid, grid_points, spec, mc_draws, rep_seed)
+            return _evaluate_models(models, eval_set, grid_points, spec, mc_draws, rep_seed)
         except MetricRegionsError as exc:
             raise type(exc)(f"replicate {b}: {exc}") from exc
 
@@ -492,8 +472,10 @@ def _cmd_replicate(cfg: _Config, args) -> None:
         },
     )
     curves_path = cfg.get_str("replicate", "curves", None)
-    if curves_path and curves and x_grid is not None:
-        write_curves_tsv(curves_path, x_grid, curves)
+    if curves_path and curves:
+        # every replicate draws its evaluation set from one scenario, so
+        # every report is smoothed on the same grid
+        write_curves_tsv(curves_path, all_reports[0][0].curve.x, curves)
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,6 @@ def smooth_indicators(
     return CoverageCurve(x_grid, np.clip(values, 0.0, 1.0))
 
 
-def _default_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    return np.linspace(lo, hi, points)
-
-
 def conditional_coverage_curve(
     model,
     eval_set: LabeledDataset,
@@ -122,7 +118,7 @@ def conditional_coverage_curve(
     ind = coverage_indicators(model, eval_set)
     xs = eval_set.predictors[:, 0]
     if x_grid is None:
-        x_grid = _default_grid(float(xs.min()), float(xs.max()), grid_points)
+        x_grid = np.linspace(float(xs.min()), float(xs.max()), grid_points)
     return smooth_indicators(xs, ind, x_grid, bandwidth)
 
 
@@ -163,7 +159,9 @@ def evaluate_model(
 ) -> CoverageReport:
     """One-stop report: marginal coverage always, the conditional curve
     and its integrated error for scalar predictors, and the Monte Carlo
-    region error when a generating scenario is supplied."""
+    region error when a generating scenario is supplied and
+    ``mc_draws > 0``.  The curve's default grid spans the scenario's
+    predictor range, or the evaluation predictors without a scenario."""
     ind = coverage_indicators(model, eval_set)
     curve = None
     l2 = None
@@ -175,7 +173,7 @@ def evaluate_model(
                 if spec is not None
                 else (float(xs.min()), float(xs.max()))
             )
-            x_grid = _default_grid(lo, hi, grid_points)
+            x_grid = np.linspace(lo, hi, grid_points)
         curve = smooth_indicators(xs, ind, x_grid)
         l2 = l2_integrated_error(curve, model.alpha)
     region_error = None

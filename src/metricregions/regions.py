@@ -20,6 +20,12 @@ mean.  Four radius rules are provided:
 
 Residuals are always distances in the region metric between observed
 responses and the fitted mean, computed once per calibration point.
+
+Every model answers arrays of queries: ``center_values(queries)`` gives
+the (rows, m) centres and ``radii(queries)`` the (rows,) radii.  A
+fitted mean is any object with ``predict_values(queries) -> (rows, m)``,
+``p`` and ``quantile_grid``; ``evaluate.coverage_indicators`` tests
+whether responses lie in their regions.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
     InvalidConfig,
     KTooLarge,
 )
-from .metrics import MetricKind, ResponsePoint, distance, rowwise_distance
+from .metrics import MetricKind, rowwise_distance
 from .regression import (
     LabeledDataset,
     MeanSpec,
@@ -50,23 +56,18 @@ from .regression import (
 )
 
 __all__ = [
-    "PredictionRegion",
     "HomoscedasticRegionModel",
     "HeteroscedasticRegionModel",
     "ConformalizedHeteroModel",
     "KTuneResult",
     "TunedFitResult",
     "empirical_quantile",
-    "contains",
     "fit_homoscedastic",
-    "predict_homoscedastic",
     "fit_heteroscedastic_knn",
-    "predict_heteroscedastic",
     "with_radius_k",
     "tune_k_marginal",
     "fit_hetero_tuned",
     "fit_conformalized_hetero",
-    "predict_conformalized",
     "default_radius_k_grid",
 ]
 
@@ -87,27 +88,6 @@ def empirical_quantile(values, level: float) -> float:
     if j > n:
         return math.inf
     return float(np.partition(v, j - 1)[j - 1])
-
-
-# ---------------------------------------------------------------------------
-# regions
-
-
-@dataclass(frozen=True, eq=False)
-class PredictionRegion:
-    """A metric ball: all responses within ``radius`` of ``center``."""
-
-    center: ResponsePoint
-    radius: float
-    region_metric: MetricKind
-
-    def contains(self, y: ResponsePoint) -> bool:
-        return contains(self, y)
-
-
-def contains(region: PredictionRegion, y: ResponsePoint) -> bool:
-    """Whether ``y`` lies in the region (boundary counts as inside)."""
-    return bool(distance(region.region_metric, y, region.center) <= region.radius)
 
 
 def _check_region_metric(region_metric: MetricKind, data: LabeledDataset) -> None:
@@ -144,9 +124,6 @@ class HomoscedasticRegionModel:
         q = _as_query_matrix(queries, self.mean.p)
         return np.full(q.shape[0], self.calibrated_radius)
 
-    def predict(self, x: np.ndarray) -> PredictionRegion:
-        return predict_homoscedastic(self, x)
-
 
 def fit_homoscedastic(
     train: LabeledDataset,
@@ -164,13 +141,6 @@ def fit_homoscedastic(
     residuals = _calibration_residuals(mean_est, calib, region_metric)
     radius = empirical_quantile(residuals, 1.0 - alpha)
     return HomoscedasticRegionModel(mean_est, radius, float(alpha), region_metric)
-
-
-def predict_homoscedastic(model: HomoscedasticRegionModel, x: np.ndarray) -> PredictionRegion:
-    """Region at a single query: ball of the calibrated radius around the mean."""
-    return PredictionRegion(
-        model.mean.predict(x), model.calibrated_radius, model.region_metric
-    )
 
 
 def _validate_alpha(alpha: float) -> None:
@@ -228,9 +198,6 @@ class HeteroscedasticRegionModel:
         local = rng.point_seed(self.seed, query)
         return rng.stream(local, "neighbor-ties").random(self.n_calibration)
 
-    def predict(self, x: np.ndarray) -> PredictionRegion:
-        return predict_heteroscedastic(self, x)
-
 
 def _local_quantile(neighbor_res: np.ndarray, alpha: float) -> np.ndarray:
     """Per row, the ``ceil((k+1)(1-alpha))``-th smallest of its k neighbor
@@ -272,14 +239,6 @@ def fit_heteroscedastic_knn(
     )
 
 
-def predict_heteroscedastic(model, x: np.ndarray) -> PredictionRegion:
-    """Region at a single query with its local radius (conformally shifted
-    for a ``ConformalizedHeteroModel``)."""
-    return PredictionRegion(
-        model.mean.predict(x), float(model.radii(x)[0]), model.region_metric
-    )
-
-
 def with_radius_k(model: HeteroscedasticRegionModel, k: int) -> HeteroscedasticRegionModel:
     """Same calibration store, different neighbor count for the radius."""
     if not 1 <= k <= model.n_calibration:
@@ -309,11 +268,9 @@ def tune_k_marginal(
     model: HeteroscedasticRegionModel,
     k_grid: Sequence[int],
     tune_set: LabeledDataset,
-    alpha: float | None = None,
 ) -> KTuneResult:
     """Pick the radius k whose marginal coverage on ``tune_set`` is closest
-    to ``1 - alpha``; ties go to the smallest k."""
-    alpha = model.alpha if alpha is None else float(alpha)
+    to ``1 - model.alpha``; ties go to the smallest k."""
     grid = sorted({int(k) for k in k_grid})
     if not grid:
         raise InvalidConfig("empty radius k grid")
@@ -333,7 +290,7 @@ def tune_k_marginal(
         model._tree, queries, grid[-1], model._tie_jitter, radii_per_k
     )
     coverage = (residuals[:, None] <= radii).mean(axis=0)
-    k_star = grid[int(np.argmin(np.abs(coverage - (1.0 - alpha))))]
+    k_star = grid[int(np.argmin(np.abs(coverage - (1.0 - model.alpha))))]
     return KTuneResult(tuple(grid), coverage, int(k_star))
 
 
@@ -355,12 +312,10 @@ def fit_hetero_tuned(
     region_metric: MetricKind = MetricKind.EUCLIDEAN_L2,
     mean_k_grid: Sequence[int] | None = None,
     radius_k_grid: Sequence[int] | None = None,
-    tune_set: LabeledDataset | None = None,
     seed: int = 0,
 ) -> TunedFitResult:
     """Two-stage pipeline: leave-one-out bandwidth for the mean, then a
-    radius k tuned for marginal coverage (on ``calib`` itself unless a
-    separate ``tune_set`` is supplied)."""
+    radius k tuned for marginal coverage on ``calib`` itself."""
     mean_spec = MeanSpec(
         "knn",
         fit_metric,
@@ -376,7 +331,7 @@ def fit_hetero_tuned(
     base = fit_heteroscedastic_knn(
         train, calib, alpha, grid[0], mean_est, region_metric, seed=seed
     )
-    tune = tune_k_marginal(base, grid, tune_set if tune_set is not None else calib, alpha)
+    tune = tune_k_marginal(base, grid, calib)
     return TunedFitResult(with_radius_k(base, tune.k_star), mean_est.k, tune)
 
 
@@ -417,9 +372,6 @@ class ConformalizedHeteroModel:
         out[np.isposinf(base)] = np.inf  # vacuous local radius stays vacuous
         return out
 
-    def predict(self, x: np.ndarray) -> PredictionRegion:
-        return predict_conformalized(self, x)
-
 
 def fit_conformalized_hetero(
     train: LabeledDataset,
@@ -441,6 +393,3 @@ def fit_conformalized_hetero(
     scores = residuals - base.radii(conformal.predictors)
     offset = empirical_quantile(scores, 1.0 - alpha)
     return ConformalizedHeteroModel(base, float(offset))
-
-
-predict_conformalized = predict_heteroscedastic

@@ -44,11 +44,9 @@ from .errors import (
     WeightsSumToZero,
 )
 from .metrics import (
-    EuclideanVector,
     MetricKind,
     QuantileFunction,
     ResponsePoint,
-    rowwise_distance,
     trapezoid_weights,
 )
 
@@ -63,7 +61,6 @@ __all__ = [
     "MeanSpec",
     "LooKSelection",
     "fit_knn_frechet",
-    "knn_frechet_mean",
     "fit_global_frechet",
     "loo_select_k",
     "select_global_k",
@@ -142,12 +139,6 @@ class LabeledDataset:
         return LabeledDataset(
             self.predictors[indices], self.response_values[indices], self.quantile_grid
         )
-
-
-def _wrap_values(values: np.ndarray, grid: np.ndarray | None) -> ResponsePoint:
-    if grid is None:
-        return EuclideanVector(values)
-    return QuantileFunction(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +320,6 @@ class KnnFrechetModel:
             self._tree, queries, self.k, lambda query: self.tie_jitter, neighbor_means
         )
 
-    def predict(self, x: np.ndarray) -> ResponsePoint:
-        return _wrap_values(self.predict_values(x)[0], self.quantile_grid)
-
 
 def fit_knn_frechet(
     data: LabeledDataset, k: int, fit_metric: MetricKind, seed: int = 0
@@ -342,11 +330,6 @@ def fit_knn_frechet(
         raise KTooLarge(f"k={k} outside 1..{data.n}")
     order = canonical_order(data)
     return KnnFrechetModel(data.subset(order), int(k), fit_metric, int(seed))
-
-
-def knn_frechet_mean(model: KnnFrechetModel, x: np.ndarray) -> ResponsePoint:
-    """Fréchet mean of the k training responses nearest to ``x``."""
-    return model.predict(x)
 
 
 def _as_query_matrix(queries: np.ndarray, p: int | None) -> np.ndarray:
@@ -411,9 +394,6 @@ class GlobalFrechetModel:
                     vals[i] = isotonic_regression(vals[i], weights=qw).x
         return vals
 
-    def predict(self, x: np.ndarray) -> ResponsePoint:
-        return _wrap_values(self.predict_values(x)[0], self.quantile_grid)
-
 
 def fit_global_frechet(data: LabeledDataset, fit_metric: MetricKind) -> GlobalFrechetModel:
     """Fit global Fréchet regression on ``data``."""
@@ -450,9 +430,6 @@ class ConstantMean:
     def predict_values(self, queries: np.ndarray) -> np.ndarray:
         q = _as_query_matrix(queries, None)
         return np.broadcast_to(self.point.values, (q.shape[0], self.point.values.size)).copy()
-
-    def predict(self, x: np.ndarray) -> ResponsePoint:
-        return self.point
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ with mu(x) = 5 + sum(x), X ~ U(0,1)^d, sigma = 1 (homoscedastic) or
 responses are empirical quantile curves of small Gaussian samples
 centered at a linear function of the predictors.
 
-Oracle regions follow the closed forms of the conditional laws.  The
-Gaussian-model oracle is the hypercube with per-coordinate half-width
+Oracle regions follow the closed forms of the conditional laws.
+``oracle_region`` returns them as arrays, centers (n, m) and radii (n,),
+and ``oracle_contains`` tests responses against them under the sup-norm
+(absolute error when m = 1).  The Gaussian-model oracle is the
+hypercube with per-coordinate half-width
 ``sigma(x) * sqrt(chi2_quantile(p, 1 - alpha))`` exactly as printed in
 the source experiment; its actual coverage is verified empirically
 (it is exact for p = 1 and conservative above).
@@ -31,8 +34,7 @@ from scipy.special import gammainc, ndtri
 
 from . import rng
 from .errors import InvalidConfig, UnsupportedScenario
-from .metrics import EuclideanVector, MetricKind, STANDARD_GRID
-from .regions import PredictionRegion
+from .metrics import MetricKind, STANDARD_GRID
 from .regression import LabeledDataset
 
 __all__ = [
@@ -252,21 +254,26 @@ def normal_quantile(level: float) -> float:
     return float(ndtri(level))
 
 
-def _oracle_center_radius(spec: ScenarioSpec, x: np.ndarray, alpha: float):
-    """Vectorized oracle centers (n,) and radii (n,) for scalar settings,
-    or (center rows, half-widths) for the Gaussian model."""
+def oracle_region(spec: ScenarioSpec, x: np.ndarray, alpha: float):
+    """Closed-form oracle regions at predictor rows ``x``: centers (n, m)
+    and radii (n,).
+
+    Scalar settings give intervals (balls under absolute error, m = 1);
+    the Gaussian model gives the hypercube as a sup-norm ball.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if isinstance(spec, Setting1):
         s = x[:, 0]
-        return 3.0 + s, s * (1.0 - alpha)
+        return (3.0 + s)[:, None], s * (1.0 - alpha)
     if isinstance(spec, Setting2):
         s = x[:, 0]
-        return 3.0 + np.exp(s), s * (1.0 - alpha)
+        return (3.0 + np.exp(s))[:, None], s * (1.0 - alpha)
     if isinstance(spec, Setting3):
         s = x[:, 0]
-        return 3.0 + np.exp(s), s * 2.0 * normal_quantile(1.0 - alpha / 2.0)
+        return (3.0 + np.exp(s))[:, None], s * 2.0 * normal_quantile(1.0 - alpha / 2.0)
     if isinstance(spec, Setting4):
         s = x[:, 0]
-        return s + 2.5, np.full_like(s, 2.5 * (1.0 - alpha))
+        return (s + 2.5)[:, None], np.full_like(s, 2.5 * (1.0 - alpha))
     if isinstance(spec, GaussianMulti):
         x_sum = x.sum(axis=1)
         half = _gaussian_scale(spec, x_sum) * math.sqrt(
@@ -279,33 +286,14 @@ def _oracle_center_radius(spec: ScenarioSpec, x: np.ndarray, alpha: float):
     )
 
 
-def oracle_region(spec: ScenarioSpec, x: np.ndarray, alpha: float) -> PredictionRegion:
-    """Closed-form oracle region at a single predictor value.
-
-    Scalar settings return an interval (a ball under absolute error);
-    the Gaussian model returns the hypercube as a sup-norm ball.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    centers, radii = _oracle_center_radius(spec, x, alpha)
-    if isinstance(spec, GaussianMulti):
-        return PredictionRegion(
-            EuclideanVector(centers[0]), float(radii[0]), MetricKind.EUCLIDEAN_SUP
-        )
-    return PredictionRegion(
-        EuclideanVector(centers[:1]), float(radii[0]), MetricKind.EUCLIDEAN_L2
-    )
-
-
 def oracle_contains(
     spec: ScenarioSpec, x: np.ndarray, response_values: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Vectorized membership of stacked responses in the oracle regions."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(response_values, dtype=np.float64))
-    centers, radii = _oracle_center_radius(spec, x, alpha)
-    if isinstance(spec, GaussianMulti):
-        return np.abs(y - centers).max(axis=1) <= radii
-    return np.abs(y[:, 0] - centers) <= radii
+    centers, radii = oracle_region(spec, x, alpha)
+    # one response row per predictor row; a 1-d array holds scalar responses
+    y = np.asarray(response_values, dtype=np.float64).reshape(centers.shape[0], -1)
+    return np.abs(y - centers).max(axis=1) <= radii
 
 
 # ---------------------------------------------------------------------------

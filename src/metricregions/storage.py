@@ -28,14 +28,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDataset, SchemaError, VersionMismatch
-from .metrics import MetricKind, QuantileFunction
+from .metrics import EuclideanVector, MetricKind, QuantileFunction
 from .regions import (
     ConformalizedHeteroModel,
     HeteroscedasticRegionModel,
     HomoscedasticRegionModel,
 )
 from .regression import (
-    ConstantMean, GlobalFrechetModel, KnnFrechetModel, LabeledDataset, _wrap_values,
+    ConstantMean, GlobalFrechetModel, KnnFrechetModel, LabeledDataset,
 )
 
 __all__ = [
@@ -108,6 +108,25 @@ def _parse_header(header: Sequence[str]) -> tuple[int, int, Optional[np.ndarray]
     return p, len(rest), None
 
 
+def _parse_cells(reader, header: Sequence[str], width: int) -> np.ndarray:
+    """The first ``width`` cells of every data row as a (rows, width) float
+    matrix; every row must have one cell per header column."""
+    values = array("d")  # row-major, without one list per row
+    for i, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise SchemaError(f"row {i}: expected {len(header)} columns, found {len(row)}")
+        for j in range(width):
+            try:
+                values.append(float(row[j]))
+            except ValueError:
+                raise SchemaError(
+                    f"row {i}, column {header[j]!r}: {row[j]!r} is not a number"
+                ) from None
+    if not values:
+        raise SchemaError("no data rows after the header")
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+
+
 def read_dataset_csv(path) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -116,26 +135,12 @@ def read_dataset_csv(path) -> LabeledDataset:
         except StopIteration:
             raise SchemaError("empty file: missing header row") from None
         p, m, grid = _parse_header(header)
-        width = p + m
-        xs: list[list[float]] = []
-        ys: list[list[float]] = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise SchemaError(f"row {i}: expected {width} columns, found {len(row)}")
-            vals = []
-            for j, cell in enumerate(row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise SchemaError(
-                        f"row {i}, column {header[j]!r}: {cell!r} is not a number"
-                    ) from None
-            xs.append(vals[:p])
-            ys.append(vals[p:])
-    if not xs:
-        raise SchemaError("no data rows after the header")
+        table = _parse_cells(reader, header, p + m)
     try:
-        return LabeledDataset(np.asarray(xs), np.asarray(ys), grid)
+        # C-contiguous copies, the layout every downstream product expects
+        return LabeledDataset(
+            np.ascontiguousarray(table[:, :p]), np.ascontiguousarray(table[:, p:]), grid
+        )
     except InvalidDataset as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -156,20 +161,7 @@ def read_queries_csv(path) -> np.ndarray:
             raise SchemaError("header row: first column must be 'x_1'")
         if len(header) > p:
             _parse_header(header)  # anything after the predictors must be a valid response block
-        values = array("d")  # row-major, without one list per row
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"row {i}: expected {len(header)} columns, found {len(row)}")
-            for j in range(p):
-                try:
-                    values.append(float(row[j]))
-                except ValueError:
-                    raise SchemaError(
-                        f"row {i}, column {header[j]!r}: {row[j]!r} is not a number"
-                    ) from None
-    if not values:
-        raise SchemaError("no data rows after the header")
-    return np.frombuffer(values, dtype=np.float64).reshape(-1, p)
+        return _parse_cells(reader, header, p)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +346,9 @@ def _mean_from_dict(d: dict):
         )
     if kind == "constant":
         values = np.asarray(_require(d, "values"), dtype=np.float64)
-        return ConstantMean(_wrap_values(values, _grid_in(d)))
+        grid = _grid_in(d)
+        point = EuclideanVector(values) if grid is None else QuantileFunction(grid, values)
+        return ConstantMean(point)
     raise SchemaError(f"unknown mean estimator kind {kind!r}")
 
 

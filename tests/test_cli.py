@@ -4,10 +4,12 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metricregions
 from metricregions import rng
 from metricregions.cli import main
 from metricregions.errors import WeightsSumToZero
@@ -26,7 +28,7 @@ from metricregions.regression import (
     split_dataset,
     split_three,
 )
-from metricregions.simulate import Setting1, generate
+from metricregions.simulate import Setting1, generate, predictor_range
 from metricregions.storage import (
     FORMAT_VERSION,
     MODELS_FORMAT,
@@ -444,24 +446,34 @@ def test_replicate_report_matches_stdlib_reference(tmp_path, monkeypatch):
 
 def test_malformed_csv_names_row_and_column(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("x_1,y_1\n0.0,1.0\n1.0,2.0\n2.0,oops\n", encoding="utf-8")
     cfg = _write_config(
         tmp_path / "f.ini", f"[data]\ninput = {bad}\n\n[model]\nalgorithm = homoscedastic\nmean_k = 2\n"
     )
-    code = _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "row 4" in err and "y_1" in err and "oops" in err
+    for text, message in (
+        ("x_1,y_1\n0.0,1.0\n1.0,2.0\n2.0,oops\n", "row 4, column 'y_1': 'oops' is not a number"),
+        ("x_1,y_1\n0.0,1.0\n1.0\n", "row 3: expected 2 columns, found 1"),
+        ("x_1,y_1\n", "no data rows after the header"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        code = _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err
 
 
 def test_malformed_query_file_names_row_and_column(fitted_bundle, tmp_path, capsys):
     _, bundle = fitted_bundle
     bad = tmp_path / "q.csv"
-    bad.write_text("x_1\n0.5\n1.5\nnope\n", encoding="utf-8")
     cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bundle}\nqueries = {bad}\n")
-    assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
-    err = capsys.readouterr().err
-    assert "row 4, column 'x_1': 'nope' is not a number" in err
+    for text, message in (
+        ("x_1\n0.5\n1.5\nnope\n", "row 4, column 'x_1': 'nope' is not a number"),
+        ("x_1,y_1\n0.5,1.0\n1.5\n", "row 3: expected 2 columns, found 1"),
+        ("x_1\n", "no data rows after the header"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
+        err = capsys.readouterr().err
+        assert message in err
 
 
 def test_unknown_algorithm_is_config_error(tmp_path, capsys):
@@ -675,6 +687,24 @@ def test_evaluate_accepts_dataset_file(fitted_bundle, tmp_path):
     assert header.split("\t") == ["x", "alpha_0.2", "alpha_0.05"]
 
 
+def test_curves_grid_spans_the_scenario_or_the_eval_data(fitted_bundle, tmp_path):
+    csv_path, bundle = fitted_bundle
+    xs = read_queries_csv(csv_path)[:, 0]
+    for scenario, (lo, hi) in (
+        ("[data]\nscenario = setting1\n", predictor_range(Setting1())),
+        ("", (xs.min(), xs.max())),
+    ):
+        curves = tmp_path / "c.tsv"
+        cfg = _write_config(
+            tmp_path / "e.ini",
+            f"{scenario}[evaluate]\nmodel = {bundle}\neval_input = {csv_path}\n"
+            f"grid_points = 17\ncurves = {curves}\n",
+        )
+        assert _run(["evaluate", "--config", cfg, "--out", tmp_path / "report.json"]) == 0
+        x = [float(line.split("\t")[0]) for line in curves.read_text().splitlines()[1:]]
+        assert x == np.linspace(lo, hi, 17).tolist()
+
+
 # ---------------------------------------------------------------------------
 # packaging and performance
 
@@ -685,7 +715,9 @@ def test_console_entry_point_help():
         cmd = [sys.executable, "-m", "metricregions", "--help"]
     else:
         cmd = [exe, "--help"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    # ``-m`` searches the working directory: start where the imported package lives
+    src = Path(metricregions.__file__).parents[1]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, cwd=src)
     assert proc.returncode == 0
     for name in ("simulate", "fit", "predict", "evaluate", "replicate"):
         assert name in proc.stdout

@@ -1,23 +1,23 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import metricregions
 from metricregions import rng
 from metricregions.errors import EmptyValues, InvalidConfig, KTooLarge
+from metricregions.evaluate import coverage_indicators, evaluate_model
 from metricregions.metrics import EuclideanVector, MetricKind, QuantileFunction
 from metricregions.regions import (
     ConformalizedHeteroModel,
     HomoscedasticRegionModel,
-    PredictionRegion,
-    contains,
     empirical_quantile,
     fit_conformalized_hetero,
     fit_hetero_tuned,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
-    predict_heteroscedastic,
-    predict_homoscedastic,
     tune_k_marginal,
     with_radius_k,
 )
@@ -78,18 +78,23 @@ def test_quantile_matches_sort_oracle(rng_np):
 # regions and membership
 
 
+def _ball_at_zero(radius: float) -> HomoscedasticRegionModel:
+    return HomoscedasticRegionModel(
+        ConstantMean(EuclideanVector([0.0])), radius, 0.2, MetricKind.EUCLIDEAN_L2
+    )
+
+
 def test_contains_closed_ball():
-    region = PredictionRegion(EuclideanVector([0.0]), 3.0, MetricKind.EUCLIDEAN_L2)
-    assert contains(region, EuclideanVector([0.0]))
-    assert contains(region, EuclideanVector([3.0]))  # boundary point is inside
-    assert not contains(region, EuclideanVector([3.0000001]))
-    zero = PredictionRegion(EuclideanVector([0.0]), 0.0, MetricKind.EUCLIDEAN_L2)
-    assert not contains(zero, EuclideanVector([1e-9]))
+    responses = LabeledDataset(np.zeros(3), np.array([0.0, 3.0, 3.0000001]))
+    # the boundary point is inside
+    assert coverage_indicators(_ball_at_zero(3.0), responses).tolist() == [True, True, False]
+    zero = coverage_indicators(_ball_at_zero(0.0), LabeledDataset([0.0, 0.0], [0.0, 1e-9]))
+    assert zero.tolist() == [True, False]
 
 
 def test_infinite_radius_contains_everything():
-    region = PredictionRegion(EuclideanVector([0.0]), math.inf, MetricKind.EUCLIDEAN_L2)
-    assert contains(region, EuclideanVector([1e300]))
+    far = LabeledDataset(np.zeros(2), np.array([1e300, -1e300]))
+    assert coverage_indicators(_ball_at_zero(math.inf), far).all()
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +117,7 @@ def test_tiny_alpha_small_sample_gives_infinite_radius(rng_np):
         train, calib, 0.001, MeanSpec("knn", k=2), MetricKind.EUCLIDEAN_L2
     )
     assert model.calibrated_radius == math.inf
-    region = predict_homoscedastic(model, np.array([2.0]))
-    assert contains(region, EuclideanVector([1e12]))
+    assert coverage_indicators(model, LabeledDataset([2.0], [1e12])).all()
 
 
 def test_homoscedastic_radius_is_global(rng_np):
@@ -196,8 +200,7 @@ def test_hetero_tie_heavy_queries_are_deterministic(rng_np):
     assert first[0] == first[2]  # same query, same local quantile
     alone = model.radii(np.array([[2.0]]))  # batch composition cannot matter
     assert alone[0] == first[1]
-    region = predict_heteroscedastic(model, np.array([0.0]))
-    assert region.radius == first[0]
+    assert model.radii(np.array([0.0]))[0] == first[0]
 
 
 def test_hetero_radius_tracks_heteroscedastic_truth():
@@ -465,3 +468,50 @@ def test_centers_and_radii_agree_on_query_rows(p, queries, rows):
         # width, so it reads a 1-d array as a column of scalar queries
         expected = queries.size if constant_homoscedastic and np.ndim(queries) == 1 else rows
         assert centers.shape[0] == radii.shape[0] == expected, type(model).__name__
+
+
+# ---------------------------------------------------------------------------
+# plug-in means and public names
+
+
+class _TrueSetting1Mean:
+    """A user-supplied mean: only ``predict_values``, ``p`` and ``quantile_grid``."""
+
+    p = 1
+    quantile_grid = None
+
+    def predict_values(self, queries):
+        return 3.0 + np.asarray(queries, dtype=np.float64).reshape(-1, 1)
+
+
+def test_plug_in_mean_needs_only_predict_values():
+    data = generate(Setting1(), 600, seed=41)
+    train, calib, conformal = split_three(data, 0.4, 0.3, seed=41)
+    mean = _TrueSetting1Mean()
+    metric = MetricKind.EUCLIDEAN_L2
+    models = [
+        fit_homoscedastic(train, calib, 0.2, mean, metric),
+        fit_heteroscedastic_knn(train, calib, 0.2, 40, mean, metric),
+        fit_conformalized_hetero(train, calib, conformal, 0.2, 40, mean, metric),
+    ]
+    eval_set = generate(Setting1(), 400, seed=42)
+    expected = mean.predict_values(eval_set.predictors)
+    for model in models:
+        assert model.mean is mean
+        assert np.array_equal(model.center_values(eval_set.predictors), expected)
+        report = evaluate_model(model, eval_set, spec=Setting1(), mc_draws=2000)
+        assert 0.6 <= report.marginal_coverage <= 1.0
+        assert report.curve is not None and report.region_error is not None
+
+
+_MODULES = ["metricregions"] + [
+    f"metricregions.{info.name}"
+    for info in pkgutil.iter_modules(metricregions.__path__)
+    if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

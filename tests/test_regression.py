@@ -24,7 +24,6 @@ from metricregions.regression import (
     fit_global_frechet,
     fit_knn_frechet,
     fit_mean,
-    knn_frechet_mean,
     loo_select_k,
     nearest_neighbors,
     select_global_k,
@@ -93,8 +92,8 @@ def test_split_three_sizes(rng_np):
 def test_knn_mean_of_two_scalars_is_midpoint():
     data = LabeledDataset(np.array([[0.0], [0.1]]), np.array([[0.0], [2.0]]))
     model = fit_knn_frechet(data, k=2, fit_metric=MetricKind.EUCLIDEAN_L2)
-    out = knn_frechet_mean(model, np.array([0.0]))
-    assert np.array_equal(out.values, np.array([1.0]))
+    out = model.predict_values(np.array([0.0]))[0]
+    assert np.array_equal(out, np.array([1.0]))
 
 
 def test_knn_mean_k1_is_nearest_response(rng_np):
@@ -102,8 +101,8 @@ def test_knn_mean_k1_is_nearest_response(rng_np):
     model = fit_knn_frechet(data, k=1, fit_metric=MetricKind.EUCLIDEAN_L2)
     q = np.array([0.3])
     nearest = np.argmin(np.abs(data.predictors[:, 0] - q[0]))
-    out = knn_frechet_mean(model, q)
-    assert np.array_equal(out.values, data.response_values[nearest])
+    out = model.predict_values(q)[0]
+    assert np.array_equal(out, data.response_values[nearest])
 
 
 def _w2_objective(candidate, rows, grid, weights=None):
@@ -129,8 +128,8 @@ def test_knn_wasserstein_mean_is_pointwise_average():
         grid,
     )
     model = fit_knn_frechet(data, k=3, fit_metric=MetricKind.WASSERSTEIN2)
-    out = knn_frechet_mean(model, np.array([1.0]))
-    assert np.array_equal(out.values, np.array([2.0, 3.0]))
+    out = model.predict_values(np.array([1.0]))[0]
+    assert np.array_equal(out, np.array([2.0, 3.0]))
     # grid-search oracle over monotone candidates confirms optimality
     best = np.inf
     span = np.arange(-1.0, 6.05, 0.05)
@@ -138,14 +137,14 @@ def test_knn_wasserstein_mean_is_pointwise_average():
         for b in span[span >= a]:
             val = _w2_objective(np.array([a, b]), data.response_values, grid)
             best = min(best, val)
-    assert _w2_objective(out.values, data.response_values, grid) <= best + 1e-9
+    assert _w2_objective(out, data.response_values, grid) <= best + 1e-9
 
 
 def test_knn_mean_with_k_equal_n_is_global_average(rng_np):
     data = LabeledDataset(rng_np.normal(size=(12, 1)), rng_np.normal(size=(12, 3)))
     model = fit_knn_frechet(data, k=12, fit_metric=MetricKind.EUCLIDEAN_L2)
-    out = knn_frechet_mean(model, np.array([0.0]))
-    np.testing.assert_allclose(out.values, data.response_values.mean(axis=0), atol=1e-12)
+    out = model.predict_values(np.array([0.0]))[0]
+    np.testing.assert_allclose(out, data.response_values.mean(axis=0), atol=1e-12)
 
 
 def test_knn_mean_beats_random_candidates(rng_np):
@@ -153,7 +152,7 @@ def test_knn_mean_beats_random_candidates(rng_np):
     k = 7
     model = fit_knn_frechet(data, k=k, fit_metric=MetricKind.EUCLIDEAN_L2)
     q = np.array([0.1, -0.2])
-    out = knn_frechet_mean(model, q).values
+    out = model.predict_values(q)[0]
     d2 = ((data.predictors - q) ** 2).sum(axis=1)
     members = data.response_values[np.argsort(d2)[:k]]
 
@@ -174,8 +173,8 @@ def test_knn_tie_break_is_seeded():
     outs = set()
     for seed in range(6):
         model = fit_knn_frechet(data, k=2, fit_metric=MetricKind.EUCLIDEAN_L2, seed=seed)
-        v1 = knn_frechet_mean(model, np.array([0.0])).values[0]
-        v2 = knn_frechet_mean(model, np.array([0.0])).values[0]
+        v1 = model.predict_values(np.array([0.0]))[0, 0]
+        v2 = model.predict_values(np.array([0.0]))[0, 0]
         assert v1 == v2
         assert v1 in (15.0, 20.0, 25.0)  # mean of two of the tied responses
         outs.add(v1)

@@ -8,11 +8,9 @@ from metricregions import rng
 from metricregions.errors import InvalidConfig, UnsupportedScenario
 from metricregions.metrics import (
     STANDARD_GRID,
-    EuclideanVector,
     MetricKind,
     rowwise_distance,
 )
-from metricregions.regions import contains
 from metricregions.simulate import (
     GaussianMulti,
     Setting1,
@@ -177,41 +175,59 @@ def test_normal_quantile_matches_reference():
 
 def test_oracle_radius_zero_at_origin():
     for alpha in (0.01, 0.2, 0.9):
-        region = oracle_region(Setting1(), np.array([0.0]), alpha)
-        assert region.radius == 0.0
-        assert contains(region, EuclideanVector([3.0]))
+        centers, radii = oracle_region(Setting1(), np.array([0.0]), alpha)
+        assert radii[0] == 0.0
+        assert centers[0, 0] == 3.0
+        assert oracle_contains(Setting1(), np.array([0.0]), np.array([[3.0]]), alpha)[0]
 
 
 def test_oracle_uniform_noise_radius():
-    region = oracle_region(Setting1(), np.array([5.0]), 0.2)
-    assert region.radius == 4.0
-    assert region.center.values[0] == 8.0
+    centers, radii = oracle_region(Setting1(), np.array([5.0]), 0.2)
+    assert radii[0] == 4.0
+    assert centers[0, 0] == 8.0
     # Monte-Carlo quantile of 5|eps| with eps ~ U(-1,1) agrees
     eps = rng.stream(77, "oracle-mc").uniform(-1.0, 1.0, 10_000_000)
     assert abs(float(np.quantile(5.0 * np.abs(eps), 0.8)) - 4.0) <= 0.005
 
 
 def test_oracle_half_normal_radius():
-    region = oracle_region(Setting3(), np.array([2.0]), 0.2)
+    centers, radii = oracle_region(Setting3(), np.array([2.0]), 0.2)
     expected = 2.0 * 2.0 * float(scipy.stats.norm.ppf(0.9))
-    assert abs(region.radius - expected) <= 1e-12
-    assert region.center.values[0] == 3.0 + math.exp(2.0)
+    assert abs(radii[0] - expected) <= 1e-12
+    assert centers[0, 0] == 3.0 + math.exp(2.0)
 
 
 def test_oracle_gaussian_half_width():
-    region = oracle_region(GaussianMulti(), np.array([0.3]), 0.05)
-    assert region.region_metric is MetricKind.EUCLIDEAN_SUP
-    assert abs(region.radius - 1.95996) <= 1e-4
-    hetero = oracle_region(
+    centers, radii = oracle_region(GaussianMulti(), np.array([0.3]), 0.05)
+    assert centers[0, 0] == 5.0 + 0.3
+    assert abs(radii[0] - 1.95996) <= 1e-4
+    _, hetero = oracle_region(
         GaussianMulti(heteroscedastic=True), np.array([0.5]), 0.05
     )
-    assert abs(hetero.radius - 4.5 * region.radius) <= 1e-9
+    assert abs(hetero[0] - 4.5 * radii[0]) <= 1e-9
 
 
 def test_oracle_shift_scenario():
-    region = oracle_region(Setting4(), np.array([1.0]), 0.2)
-    assert region.center.values[0] == 3.5
-    assert region.radius == 2.0
+    centers, radii = oracle_region(Setting4(), np.array([1.0]), 0.2)
+    assert centers[0, 0] == 3.5
+    assert radii[0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(Setting1(), 1), (Setting2(), 1), (Setting3(), 1), (Setting4(), 1),
+     (GaussianMulti(response_dim=3, predictor_dim=2), 3)],
+    ids=["setting1", "setting2", "setting3", "setting4", "gaussian"],
+)
+def test_oracle_region_arrays_have_a_row_per_query(spec, m):
+    x = generate(spec, 4, seed=5).predictors
+    centers, radii = oracle_region(spec, x, 0.2)
+    assert centers.shape == (4, m) and radii.shape == (4,)
+    # half the radius from the centre is inside, twice the radius is not
+    y = centers + np.array([[0.5], [2.0], [0.5], [2.0]]) * (radii[:, None] + 1e-6)
+    assert oracle_contains(spec, x, y, 0.2).tolist() == [True, False, True, False]
+    if m == 1:  # a 1-d array holds one scalar response per row
+        assert oracle_contains(spec, x, y[:, 0], 0.2).tolist() == [True, False, True, False]
 
 
 def test_oracle_unavailable_for_distributional_scenario():
