@@ -40,7 +40,6 @@ from .errors import (
     TooFewSamples,
     UnsupportedScenario,
     VersionMismatch,
-    WeightsSumToZero,
 )
 from .evaluate import evaluate_model
 from .metrics import MetricKind
@@ -509,7 +508,7 @@ _DATA_FAILURES = (
     NonMonotoneQuantile,
     OSError,
 )
-_NUMERIC_FAILURES = (WeightsSumToZero, FloatingPointError, np.linalg.LinAlgError)
+_NUMERIC_FAILURES = (FloatingPointError, np.linalg.LinAlgError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -38,10 +38,6 @@ class TooFewSamples(MetricRegionsError):
     """Not enough rows to fit the requested estimator."""
 
 
-class WeightsSumToZero(MetricRegionsError):
-    """Weighted mean undefined: the weights cancel to (numerically) zero."""
-
-
 class KGridEmpty(MetricRegionsError):
     """A candidate-k grid contained no usable values."""
 

@@ -83,11 +83,18 @@ def empirical_quantile(values, level: float) -> float:
         raise EmptyValues("empirical quantile of no values")
     if not 0.0 < level < 1.0:
         raise InvalidConfig(f"quantile level {level} outside (0, 1)")
-    n = v.size
+    return float(_row_quantiles(v[None, :], level)[0])
+
+
+def _row_quantiles(values: np.ndarray, level: float) -> np.ndarray:
+    """Per row of a (rows, n) array, the ``ceil((n+1) * level)``-th
+    smallest value, or +inf past the top."""
+    n = values.shape[1]
     j = math.ceil((n + 1) * level)
     if j > n:
-        return math.inf
-    return float(np.partition(v, j - 1)[j - 1])
+        return np.full(values.shape[0], np.inf)
+    # a copy: a column view would keep the whole (rows, n) block alive
+    return np.partition(values, j - 1, axis=1)[:, j - 1].copy()
 
 
 def _check_region_metric(region_metric: MetricKind, data: LabeledDataset) -> None:
@@ -191,23 +198,12 @@ class HeteroscedasticRegionModel:
             queries,
             self.k,
             self._tie_jitter,
-            lambda idx, rows: _local_quantile(self.calibration_residuals[idx], self.alpha),
+            lambda idx, rows: _row_quantiles(self.calibration_residuals[idx], 1.0 - self.alpha),
         )
 
     def _tie_jitter(self, query: np.ndarray) -> np.ndarray:
         local = rng.point_seed(self.seed, query)
         return rng.stream(local, "neighbor-ties").random(self.n_calibration)
-
-
-def _local_quantile(neighbor_res: np.ndarray, alpha: float) -> np.ndarray:
-    """Per row, the ``ceil((k+1)(1-alpha))``-th smallest of its k neighbor
-    residuals, or +inf past the top."""
-    k = neighbor_res.shape[1]
-    j = math.ceil((k + 1) * (1.0 - alpha))
-    if j > k:
-        return np.full(neighbor_res.shape[0], np.inf)
-    # a copy: a column view would keep the whole (rows, k) block alive
-    return np.partition(neighbor_res, j - 1, axis=1)[:, j - 1].copy()
 
 
 def fit_heteroscedastic_knn(
@@ -284,7 +280,7 @@ def tune_k_marginal(
     def radii_per_k(idx, rows):
         # every grid k takes a prefix of the same max(grid) neighbors
         res = model.calibration_residuals[idx]
-        return np.stack([_local_quantile(res[:, :k], model.alpha) for k in grid], axis=1)
+        return np.stack([_row_quantiles(res[:, :k], 1.0 - model.alpha) for k in grid], axis=1)
 
     radii = nearest_neighbors(
         model._tree, queries, grid[-1], model._tie_jitter, radii_per_k
@@ -367,10 +363,11 @@ class ConformalizedHeteroModel:
         return self.base.center_values(queries)
 
     def radii(self, queries: np.ndarray) -> np.ndarray:
-        base = self.base.radii(queries)
-        out = np.maximum(base + self.offset, 0.0)
-        out[np.isposinf(base)] = np.inf  # vacuous local radius stays vacuous
-        return out
+        radii = self.base.radii(queries)
+        # a vacuous (infinite) local radius stays vacuous, whatever the offset
+        finite = np.isfinite(radii)
+        radii[finite] = np.maximum(radii[finite] + self.offset, 0.0)
+        return radii
 
 
 def fit_conformalized_hetero(

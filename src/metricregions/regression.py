@@ -12,8 +12,9 @@ Two regression estimators are provided:
 * k-nearest-neighbor Fréchet means, with neighbor distance ties broken
   by a seeded uniform jitter assigned in a canonical row order so fitted
   models are invariant to permutations of the training rows;
-* global Fréchet regression, whose weights reduce the estimator to
-  ordinary linear regression when responses are Euclidean.
+* global Fréchet regression, whose weights sum to n, so the weighted
+  average is in closed form the least-squares line: the response mean
+  plus the centred query times one (p, m) coefficient.
 
 ``loo_select_k`` scores a grid of candidate k values per training point
 by a leave-one-out criterion: the mean distance of the LOO neighbor
@@ -41,7 +42,6 @@ from .errors import (
     KGridEmpty,
     KTooLarge,
     TooFewSamples,
-    WeightsSumToZero,
 )
 from .metrics import (
     MetricKind,
@@ -351,18 +351,27 @@ def _as_query_matrix(queries: np.ndarray, p: int | None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GlobalFrechetModel:
-    """Weighted global Fréchet regression (linear in the predictors).
+    """Global Fréchet regression (linear in the predictors).
 
     ``cov_inv`` inverts the sample covariance (1/(n-1) normalization),
-    ridged when ill-conditioned.  Prediction weights rescale the
-    quadratic form by n/(n-1) so that Euclidean responses reproduce
-    ordinary least squares exactly.
+    ridged when ill-conditioned.  The weights ``weights(q)`` sum to n, so
+    the weighted mean is in closed form ``mean_y + (q - mean_x) @ coef``,
+    ordinary least squares for Euclidean responses; ``mean_y`` and
+    ``coef`` are derived from the stored fields.
     """
 
     training: LabeledDataset
     mean_x: np.ndarray
     cov_inv: np.ndarray
     fit_metric: MetricKind
+    mean_y: np.ndarray = field(init=False, repr=False)
+    coef: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        Y = self.training.response_values
+        xc = self.training.predictors - self.mean_x
+        object.__setattr__(self, "mean_y", Y.mean(axis=0))
+        object.__setattr__(self, "coef", self.cov_inv @ (xc.T @ Y) / (self.training.n - 1))
 
     @property
     def quantile_grid(self) -> np.ndarray | None:
@@ -380,13 +389,15 @@ class GlobalFrechetModel:
         return 1.0 + (n / (n - 1.0)) * (qc @ self.cov_inv @ xc.T)
 
     def predict_values(self, queries: np.ndarray) -> np.ndarray:
-        w = self.weights(queries)
-        sums = w.sum(axis=1)
-        if (np.abs(sums) < 1e-12 * self.training.n).any():
-            raise WeightsSumToZero("prediction weights cancel; cannot average")
-        vals = (w @ self.training.response_values) / sums[:, None]
+        qc = _as_query_matrix(queries, self.training.p) - self.mean_x
+        # summed in coordinate order, the mean last, so a row's centre does
+        # not depend on the batch it is predicted in
+        vals = qc[:, 0, None] * self.coef[0]
+        for j in range(1, self.p):
+            vals += qc[:, j, None] * self.coef[j]
+        vals += self.mean_y
         if self.quantile_grid is not None:
-            # negative weights can break monotonicity; project back under
+            # an extrapolated line can break monotonicity; project back under
             # the same quadrature norm that defines the Wasserstein metric
             qw = trapezoid_weights(self.quantile_grid)
             for i in range(vals.shape[0]):

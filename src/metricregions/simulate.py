@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammainc, ndtri
+from scipy.special import gammaincinv, ndtri
 
 from . import rng
 from .errors import InvalidConfig, UnsupportedScenario
@@ -225,29 +225,13 @@ def sample_responses(spec: ScenarioSpec, x: np.ndarray, n_draws: int, seed: int 
 
 
 def chi_square_quantile(df: int, level: float) -> float:
-    """Quantile of the chi-square law by bisection on the regularized
-    lower incomplete gamma function (absolute tolerance 1e-10)."""
+    """Quantile of the chi-square law: twice the inverse of the regularized
+    lower incomplete gamma function at half the degrees of freedom."""
     if df < 1:
         raise InvalidConfig("degrees of freedom must be at least 1")
     if not 0.0 < level < 1.0:
         raise InvalidConfig(f"quantile level {level} outside (0, 1)")
-    half = 0.5 * df
-
-    def cdf(t: float) -> float:
-        return float(gammainc(half, 0.5 * t))
-
-    lo, hi = 0.0, float(max(df, 1))
-    while cdf(hi) < level:
-        hi *= 2.0
-        if hi > 1e308:
-            raise InvalidConfig("quantile level too extreme to bracket")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * float(gammaincinv(0.5 * df, level))
 
 
 def normal_quantile(level: float) -> float:

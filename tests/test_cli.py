@@ -12,7 +12,6 @@ import pytest
 import metricregions
 from metricregions import rng
 from metricregions.cli import main
-from metricregions.errors import WeightsSumToZero
 from metricregions.metrics import MetricKind
 from metricregions.regions import (
     fit_conformalized_hetero,
@@ -538,7 +537,7 @@ def test_numeric_failure_maps_to_exit_4(tmp_path, monkeypatch, capsys):
     import metricregions.cli as cli_module
 
     def boom(cfg, args):
-        raise WeightsSumToZero("regression weights sum to zero at this query")
+        raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setitem(cli_module._HANDLERS, "simulate", boom)
     cfg = _write_config(tmp_path / "c.ini", "[data]\nscenario = setting4\nn = 5\n")

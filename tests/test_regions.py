@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,22 @@ def test_conformal_radius_floors_at_zero(rng_np):
     assert np.array_equal(floored.radii(np.array([[1.0]])), np.array([0.0]))
 
 
+def test_conformal_vacuous_radii_stay_infinite_without_warning():
+    # alpha = 0.01 at k = 20 asks for the 21st of 20 neighbours: every local
+    # radius is inf, every score -inf, and so is the offset
+    data = generate(Setting1(), 600, 3)
+    train, calib, conformal = split_three(data, 0.5, 0.25, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_conformalized_hetero(
+            train, calib, conformal, 0.01, 20, MeanSpec("knn", k=10),
+            MetricKind.EUCLIDEAN_L2, seed=3,
+        )
+        radii = model.radii(conformal.predictors)
+    assert model.offset == -math.inf
+    assert np.isposinf(radii).all()
+
+
 def test_conformal_fresh_pair_coverage_floor():
     alpha = 0.2
     hits = 0
@@ -353,15 +370,16 @@ def test_fitted_model_ignores_input_row_order(rng_np):
     shuffled_train = LabeledDataset(train.predictors[perm_t], train.response_values[perm_t])
     shuffled_calib = LabeledDataset(calib.predictors[perm_c], calib.response_values[perm_c])
     queries = rng_np.uniform(0.0, 5.0, size=(15, 1))
-    a = fit_heteroscedastic_knn(
-        train, calib, 0.2, 7, MeanSpec("knn", k=4), MetricKind.EUCLIDEAN_L2, seed=12
-    )
-    b = fit_heteroscedastic_knn(
-        shuffled_train, shuffled_calib, 0.2, 7, MeanSpec("knn", k=4),
-        MetricKind.EUCLIDEAN_L2, seed=12,
-    )
-    assert np.array_equal(a.center_values(queries), b.center_values(queries))
-    assert np.array_equal(a.radii(queries), b.radii(queries))
+    for mean in (MeanSpec("knn", k=4), MeanSpec("global")):
+        a = fit_heteroscedastic_knn(
+            train, calib, 0.2, 7, mean, MetricKind.EUCLIDEAN_L2, seed=12
+        )
+        b = fit_heteroscedastic_knn(
+            shuffled_train, shuffled_calib, 0.2, 7, mean,
+            MetricKind.EUCLIDEAN_L2, seed=12,
+        )
+        assert np.array_equal(a.center_values(queries), b.center_values(queries))
+        assert np.array_equal(a.radii(queries), b.radii(queries))
 
 
 def test_radii_scale_with_response_units(rng_np):

@@ -295,6 +295,49 @@ def test_global_frechet_wasserstein_projection_is_monotone_and_optimal():
     ) + 1e-12
 
 
+def _weighted_average(model, queries):
+    # the estimator by its definition: the weights' average of the responses
+    w = model.weights(queries)
+    return (w @ model.training.response_values) / w.sum(axis=1)[:, None]
+
+
+@pytest.mark.parametrize(
+    "p, m, constant",
+    [(1, 1, False), (1, 2, False), (3, 1, False), (3, 2, False), (3, 2, True)],
+)
+def test_global_frechet_closed_form_matches_weighted_average(rng_np, p, m, constant):
+    # the reference divides by a weight sum that the rounding of mean_x
+    # moves off n; that error grows with cov_inv, so column scales stay
+    # within a factor of 6 of each other
+    for _ in range(10):
+        X = rng_np.normal(size=(40, p)) * rng_np.uniform(0.5, 3.0, size=p) + rng_np.normal(size=p)
+        if constant:
+            # a zero-variance column, so the covariance is ridged; 2.0 is its
+            # own mean exactly, so the 1e8-scale ridged inverse multiplies an
+            # exact zero rather than the rounding error of a centring
+            X[:, 1] = 2.0
+        Y = rng_np.normal(size=(40, m)) * rng_np.uniform(0.1, 10.0) + rng_np.normal()
+        model = fit_global_frechet(LabeledDataset(X, Y), MetricKind.EUCLIDEAN_L2)
+        spread = np.ptp(X, axis=0).max()
+        queries = model.mean_x + rng_np.uniform(-30.0, 30.0, size=(50, p)) * spread
+        ref = _weighted_average(model, queries)
+        got = model.predict_values(queries)
+        assert np.abs(got - ref).max() <= 1e-11 * (np.abs(Y).max() + np.abs(ref).max())
+
+
+def test_global_frechet_prediction_is_bitwise_stable(rng_np):
+    X = rng_np.normal(size=(50, 3))
+    Y = rng_np.normal(size=(50, 2))
+    model = fit_global_frechet(LabeledDataset(X, Y), MetricKind.EUCLIDEAN_L2)
+    queries = 5.0 * rng_np.normal(size=(30, 3))
+    batch = model.predict_values(queries)
+    for r in range(queries.shape[0]):
+        assert np.array_equal(model.predict_values(queries[r]), batch[r : r + 1])
+    perm = rng_np.permutation(50)
+    shuffled = fit_global_frechet(LabeledDataset(X[perm], Y[perm]), MetricKind.EUCLIDEAN_L2)
+    assert np.array_equal(shuffled.predict_values(queries), batch)
+
+
 # ---------------------------------------------------------------------------
 # leave-one-out choice of k
 
