@@ -19,7 +19,6 @@ from .errors import (
     KTooLarge,
     MetricRegionsError,
     MultivariateUnsupported,
-    NonMonotoneQuantile,
     SchemaError,
     TooFewSamples,
     UnsupportedScenario,
@@ -30,9 +29,7 @@ from .metrics import (
     MetricKind,
     QuantileFunction,
     STANDARD_GRID,
-    distance,
     rowwise_distance,
-    validate_point,
 )
 from .regression import (
     ConstantMean,
@@ -104,7 +101,6 @@ __all__ = [
     "MetricKind",
     "MetricRegionsError",
     "MultivariateUnsupported",
-    "NonMonotoneQuantile",
     "QuantileFunction",
     "STANDARD_GRID",
     "SchemaError",
@@ -118,7 +114,6 @@ __all__ = [
     "VersionMismatch",
     "WassersteinExample",
     "conditional_coverage_curve",
-    "distance",
     "empirical_quantile",
     "evaluate_model",
     "fit_conformalized_hetero",
@@ -139,5 +134,4 @@ __all__ = [
     "split_three",
     "symmetric_difference_error",
     "tune_k_marginal",
-    "validate_point",
 ]

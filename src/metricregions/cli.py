@@ -35,7 +35,6 @@ from .errors import (
     KTooLarge,
     MetricRegionsError,
     MultivariateUnsupported,
-    NonMonotoneQuantile,
     SchemaError,
     TooFewSamples,
     UnsupportedScenario,
@@ -102,7 +101,6 @@ config file reference (INI sections and keys; any other is a config error)
   k_grid            comma-separated radius k candidates (hetero-tuned)
   train_fraction    share of rows used to fit the mean (default 0.5)
   calib_fraction    conformal-hetero only: share for local radii (default 0.25)
-  fit_metric        euclidean-l2 | wasserstein2 (default matches the data)
   region_metric     euclidean-l2 | euclidean-sup | wasserstein2 | quantile-sup
 
 [predict]
@@ -181,10 +179,10 @@ class _Config:
         return self._get(section, key, default, lambda raw: _BOOLS[raw.lower()], "a boolean")
 
     def get_floats(self, section: str, key: str, default=_REQUIRED):
-        return self._get(section, key, default, _list_of(float), "a comma-separated number list")
+        return self._get(section, key, default, _list_of(float), "a non-empty comma-separated number list")
 
     def get_ints(self, section: str, key: str, default=_REQUIRED):
-        return self._get(section, key, default, _list_of(int), "a comma-separated integer list")
+        return self._get(section, key, default, _list_of(int), "a non-empty comma-separated integer list")
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -192,7 +190,13 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _list_of(parse):
-    return lambda raw: tuple(parse(tok) for tok in raw.split(",") if tok.strip() != "")
+    def parse_list(raw: str) -> tuple:
+        items = tuple(parse(tok) for tok in raw.split(",") if tok.strip() != "")
+        if not items:
+            raise ValueError("no items")
+        return items
+
+    return parse_list
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +236,19 @@ def _training_data(cfg: _Config, seed: int) -> LabeledDataset:
     raise InvalidConfig("[data]: either 'input' or 'scenario' (with 'n') is required")
 
 
-def _metric(cfg: _Config, key: str, default: MetricKind) -> MetricKind:
-    raw = cfg.get_str("model", key, None)
+def _region_metric(cfg: _Config, default: MetricKind) -> MetricKind:
+    raw = cfg.get_str("model", "region_metric", None)
     if raw is None:
         return default
     try:
         return MetricKind(raw)
     except ValueError:
-        raise InvalidConfig(f"[model] {key}: unknown metric {raw!r}") from None
+        raise InvalidConfig(f"[model] region_metric: unknown metric {raw!r}") from None
 
 
 def _alphas(cfg: _Config) -> tuple[float, ...]:
-    values = cfg.get_floats("model", "alpha", (0.2,))
-    if not values:
-        raise InvalidConfig("[model] alpha: at least one level is required")
     out = []
-    for a in values:
+    for a in cfg.get_floats("model", "alpha", (0.2,)):
         if a not in out:
             out.append(float(a))
     return tuple(out)
@@ -274,11 +275,11 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
     algorithm = cfg.get_str("model", "algorithm", "homoscedastic")
     if algorithm not in _ALGORITHMS:
         raise InvalidConfig(f"[model] algorithm: unknown algorithm {algorithm!r}")
-    default_metric = (
+    # fit under the one metric with a mean formula for these responses
+    fit_metric = (
         MetricKind.WASSERSTEIN2 if data.quantile_grid is not None else MetricKind.EUCLIDEAN_L2
     )
-    fit_metric = _metric(cfg, "fit_metric", default_metric)
-    region_metric = _metric(cfg, "region_metric", default_metric)
+    region_metric = _region_metric(cfg, fit_metric)
     alphas = _alphas(cfg)
     train_fraction = cfg.get_float("model", "train_fraction", 0.5)
     mean_spec = _mean_spec(cfg, fit_metric)
@@ -288,6 +289,7 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
             raise InvalidConfig("[model] mean: hetero-tuned fits a knn mean only")
         if mean_spec.k is not None:
             raise InvalidConfig("[model] mean_k: hetero-tuned selects the mean k itself; use auto")
+        radius_k_grid = cfg.get_ints("model", "k_grid", None)
     if algorithm in ("hetero-knn", "conformal-hetero"):
         k = cfg.get_int("model", "k")
 
@@ -315,7 +317,7 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
             fit_metric=fit_metric,
             region_metric=region_metric,
             mean_k_grid=(mean.k,),
-            radius_k_grid=cfg.get_ints("model", "k_grid", None),
+            radius_k_grid=radius_k_grid,
             seed=seed,
         ).model
 
@@ -370,6 +372,18 @@ def _report_row(report) -> dict:
     }
 
 
+def _curve_settings(cfg: _Config, section: str) -> tuple[int, int]:
+    """The coverage-curve grid size and Monte Carlo draw count of an
+    ``[evaluate]`` or ``[replicate]`` section."""
+    grid_points = cfg.get_int(section, "grid_points", 101)
+    if grid_points < 1:
+        raise InvalidConfig(f"[{section}] grid_points: must be at least 1")
+    mc_draws = cfg.get_int(section, "mc_draws", 0)
+    if mc_draws < 0:
+        raise InvalidConfig(f"[{section}] mc_draws: must not be negative")
+    return grid_points, mc_draws
+
+
 def _evaluate_models(models, eval_set, grid_points, spec, mc_draws, seed) -> list:
     return [
         evaluate_model(
@@ -382,6 +396,7 @@ def _evaluate_models(models, eval_set, grid_points, spec, mc_draws, seed) -> lis
 
 def _cmd_evaluate(cfg: _Config, args) -> None:
     seed = _base_seed(cfg, args)
+    grid_points, mc_draws = _curve_settings(cfg, "evaluate")
     models = read_models_json(cfg.get_str("evaluate", "model"))
     spec = _scenario(cfg) if cfg.has("data", "scenario") else None
     if cfg.has("evaluate", "eval_input"):
@@ -390,8 +405,6 @@ def _cmd_evaluate(cfg: _Config, args) -> None:
         eval_set = generate(spec, cfg.get_int("evaluate", "eval_n"), rng.derive_seed(seed, "eval"))
     else:
         raise InvalidConfig("[evaluate]: need 'eval_input' or a [data] scenario with 'eval_n'")
-    grid_points = cfg.get_int("evaluate", "grid_points", 101)
-    mc_draws = cfg.get_int("evaluate", "mc_draws", 0)
     rows = []
     curves = {}
     for report in _evaluate_models(models, eval_set, grid_points, spec, mc_draws, seed):
@@ -424,8 +437,7 @@ def _cmd_replicate(cfg: _Config, args) -> None:
     if b_total < 1:
         raise InvalidConfig("[replicate] replicates: must be at least 1")
     eval_n = cfg.get_int("replicate", "eval_n", 2000)
-    grid_points = cfg.get_int("replicate", "grid_points", 101)
-    mc_draws = cfg.get_int("replicate", "mc_draws", 0)
+    grid_points, mc_draws = _curve_settings(cfg, "replicate")
 
     def one(b: int):
         try:
@@ -505,7 +517,6 @@ _DATA_FAILURES = (
     InvalidDataset,
     DimensionMismatch,
     IncompatibleMetric,
-    NonMonotoneQuantile,
     OSError,
 )
 _NUMERIC_FAILURES = (FloatingPointError, np.linalg.LinAlgError)
@@ -531,8 +542,10 @@ def _build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="INI config file path")
-        p.add_argument("--seed", type=int, default=None, help="override the [data] seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for replicate")
+        if name != "predict":
+            p.add_argument("--seed", type=int, default=None, help="override the [data] seed")
+        if name == "replicate":
+            p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument("--out", required=True, help="primary output file path")
     return parser
 

@@ -11,7 +11,7 @@ class MetricRegionsError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# geometry / point errors
+# geometry / dataset errors
 
 
 class DimensionMismatch(MetricRegionsError):
@@ -20,10 +20,6 @@ class DimensionMismatch(MetricRegionsError):
 
 class IncompatibleMetric(MetricRegionsError):
     """A metric was applied to a response variant it does not support."""
-
-
-class NonMonotoneQuantile(MetricRegionsError):
-    """Quantile-function values decrease somewhere along the grid."""
 
 
 class InvalidDataset(MetricRegionsError):

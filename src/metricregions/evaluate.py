@@ -81,16 +81,15 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * min(spread_candidates) * n ** (-0.2)
 
 
-def smooth_indicators(
-    x: np.ndarray, indicators: np.ndarray, x_grid: np.ndarray, bandwidth: Optional[float] = None
-) -> CoverageCurve:
-    """Nadaraya-Watson smoothing of 0/1 indicators, clipped to [0, 1]."""
+def smooth_indicators(x: np.ndarray, indicators: np.ndarray, x_grid: np.ndarray) -> CoverageCurve:
+    """Nadaraya-Watson smoothing of 0/1 indicators at Silverman's
+    bandwidth, clipped to [0, 1]."""
     x = np.asarray(x, dtype=np.float64).ravel()
     ind = np.asarray(indicators, dtype=np.float64).ravel()
     x_grid = np.asarray(x_grid, dtype=np.float64).ravel()
     if x.size == 0:
         raise EmptyEvalSet("no indicators to smooth")
-    h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
+    h = silverman_bandwidth(x)
     u = (x_grid[:, None] - x[None, :]) / h
     weights = np.exp(-0.5 * np.square(u))
     # same reduction path for both sums so constant indicators smooth to
@@ -107,10 +106,9 @@ def conditional_coverage_curve(
     model,
     eval_set: LabeledDataset,
     x_grid: Optional[np.ndarray] = None,
-    grid_points: int = 101,
-    bandwidth: Optional[float] = None,
 ) -> CoverageCurve:
-    """Smoothed coverage against a scalar predictor."""
+    """Smoothed coverage against a scalar predictor; the default grid is
+    101 points across the evaluation predictors."""
     if eval_set.p != 1:
         raise MultivariateUnsupported(
             "conditional coverage curves need a one-dimensional predictor"
@@ -118,8 +116,8 @@ def conditional_coverage_curve(
     ind = coverage_indicators(model, eval_set)
     xs = eval_set.predictors[:, 0]
     if x_grid is None:
-        x_grid = np.linspace(float(xs.min()), float(xs.max()), grid_points)
-    return smooth_indicators(xs, ind, x_grid, bandwidth)
+        x_grid = np.linspace(float(xs.min()), float(xs.max()), 101)
+    return smooth_indicators(xs, ind, x_grid)
 
 
 def l2_integrated_error(curve: CoverageCurve, alpha: float) -> float:
@@ -131,27 +129,25 @@ def l2_integrated_error(curve: CoverageCurve, alpha: float) -> float:
 def symmetric_difference_error(
     model,
     spec: ScenarioSpec,
-    alpha: Optional[float] = None,
     mc_draws: int = 20_000,
     seed: int = 0,
 ) -> float:
     """Monte Carlo mass of the symmetric difference between the fitted
-    and oracle regions, averaged over the predictor law.
+    region and the oracle region at the model's level ``model.alpha``,
+    averaged over the predictor law.
 
     A fitted region with infinite radius disagrees with the oracle
     exactly on the oracle's complement, contributing its alpha mass.
     """
-    level = float(model.alpha if alpha is None else alpha)
     data = generate(spec, mc_draws, rng.derive_seed(seed, "region-error"))
     est = coverage_indicators(model, data)
-    truth = oracle_contains(spec, data.predictors, data.response_values, level)
+    truth = oracle_contains(spec, data.predictors, data.response_values, float(model.alpha))
     return float(np.mean(est != truth))
 
 
 def evaluate_model(
     model,
     eval_set: LabeledDataset,
-    x_grid: Optional[np.ndarray] = None,
     grid_points: int = 101,
     spec: Optional[ScenarioSpec] = None,
     mc_draws: int = 0,
@@ -160,21 +156,15 @@ def evaluate_model(
     """One-stop report: marginal coverage always, the conditional curve
     and its integrated error for scalar predictors, and the Monte Carlo
     region error when a generating scenario is supplied and
-    ``mc_draws > 0``.  The curve's default grid spans the scenario's
+    ``mc_draws > 0``.  The curve's ``grid_points`` span the scenario's
     predictor range, or the evaluation predictors without a scenario."""
     ind = coverage_indicators(model, eval_set)
     curve = None
     l2 = None
     if eval_set.p == 1:
         xs = eval_set.predictors[:, 0]
-        if x_grid is None:
-            lo, hi = (
-                predictor_range(spec)
-                if spec is not None
-                else (float(xs.min()), float(xs.max()))
-            )
-            x_grid = np.linspace(lo, hi, grid_points)
-        curve = smooth_indicators(xs, ind, x_grid)
+        lo, hi = predictor_range(spec) if spec is not None else (float(xs.min()), float(xs.max()))
+        curve = smooth_indicators(xs, ind, np.linspace(lo, hi, grid_points))
         l2 = l2_integrated_error(curve, model.alpha)
     region_error = None
     if spec is not None and mc_draws > 0:

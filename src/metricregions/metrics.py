@@ -1,4 +1,4 @@
-"""Response points and the metrics used to compare them.
+"""Response values and the metrics used to compare them.
 
 Two response variants are supported: plain Euclidean vectors and
 one-dimensional distributions represented by their quantile function
@@ -9,27 +9,25 @@ by the trapezoid rule on the shared grid, extending the integrand as a
 constant to the endpoints 0 and 1.  Sup-norm variants of both metrics
 are provided for defining regions, but are not usable as fitting metrics
 (no mean formula is attached to them).
+
+Every distance in the package is :func:`rowwise_distance` on stacked
+value arrays; ``LabeledDataset`` is where responses are validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IncompatibleMetric, NonMonotoneQuantile
+from .errors import DimensionMismatch, IncompatibleMetric
 
 __all__ = [
     "EuclideanVector",
     "QuantileFunction",
-    "ResponsePoint",
     "MetricKind",
-    "Violation",
     "STANDARD_GRID",
-    "distance",
-    "validate_point",
     "rowwise_distance",
     "trapezoid_weights",
 ]
@@ -62,12 +60,8 @@ class EuclideanVector:
 
 @dataclass(frozen=True, eq=False)
 class QuantileFunction:
-    """A distribution response: quantile values on a grid of levels.
-
-    ``grid`` must be strictly increasing inside (0, 1) and ``values``
-    nondecreasing for the point to be valid; use :func:`validate_point`
-    to check.
-    """
+    """A distribution response: quantile values on a grid of levels
+    (strictly increasing inside (0, 1)); ``values`` are nondecreasing."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -81,69 +75,10 @@ class QuantileFunction:
         )
 
 
-ResponsePoint = Union[EuclideanVector, QuantileFunction]
-
 # Canonical 101-level grid, 0.005 to 0.995.  The levels are exact short
 # decimals so CSV headers built from repr() round-trip bytewise.
 STANDARD_GRID = np.array([(50 + 99 * i) / 10000 for i in range(101)])
 STANDARD_GRID.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by :func:`validate_point`."""
-
-    code: str
-    index: int | None
-    message: str
-
-
-def validate_point(point: ResponsePoint) -> list[Violation]:
-    """Return every invariant violation of a response point (empty if valid)."""
-    out: list[Violation] = []
-    if isinstance(point, EuclideanVector):
-        if point.values.size == 0:
-            out.append(Violation("EmptyVector", None, "vector has no coordinates"))
-        for i in np.flatnonzero(~np.isfinite(point.values)):
-            out.append(Violation("NonFinite", int(i), f"value at {i} is not finite"))
-        return out
-    if not isinstance(point, QuantileFunction):
-        return [Violation("UnknownVariant", None, f"not a response point: {point!r}")]
-    grid, values = point.grid, point.values
-    if grid.size == 0:
-        out.append(Violation("EmptyGrid", None, "quantile grid has no levels"))
-    if grid.shape != values.shape:
-        out.append(
-            Violation(
-                "GridShapeMismatch",
-                None,
-                f"grid has {grid.size} levels but values has {values.size}",
-            )
-        )
-        return out
-    for i in np.flatnonzero((grid <= 0.0) | (grid >= 1.0)):
-        out.append(
-            Violation("GridOutOfRange", int(i), f"level {grid[i]!r} outside (0, 1)")
-        )
-    for i in np.flatnonzero(np.diff(grid) <= 0.0):
-        out.append(
-            Violation(
-                "GridNotStrictlyIncreasing",
-                int(i) + 1,
-                f"level at {i + 1} does not exceed its predecessor",
-            )
-        )
-    for i in np.flatnonzero(~np.isfinite(values)):
-        out.append(Violation("NonFinite", int(i), f"value at {i} is not finite"))
-    for i in np.flatnonzero(np.diff(values) < 0.0):
-        out.append(
-            Violation(
-                "NonMonotoneQuantile",
-                int(i) + 1,
-                f"quantile value at {i + 1} is below its predecessor",
-            )
-        )
-    return out
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -169,9 +104,9 @@ def rowwise_distance(
     """Distances between corresponding rows of two stacked value arrays.
 
     ``a`` and ``b`` broadcast against each other ((n, m) vs (m,) is
-    fine).  For the quantile metrics ``grid`` carries the shared levels.
-    This is the unchecked vectorized core; the scalar :func:`distance`
-    wraps it with full validation.
+    fine).  For the quantile metrics ``grid`` carries the shared levels;
+    Wasserstein without it raises ``DimensionMismatch``.  The values are
+    not validated here: ``LabeledDataset`` checks every response.
     """
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     diff = np.atleast_2d(diff)
@@ -186,48 +121,3 @@ def rowwise_distance(
         return np.sqrt((diff * diff) @ w)
     raise IncompatibleMetric(f"unknown metric kind {kind!r}")
 
-
-def _check_pair(kind: MetricKind, a: ResponsePoint, b: ResponsePoint) -> np.ndarray | None:
-    """Validate a scalar distance call; return the shared grid (or None)."""
-    if kind.is_quantile:
-        if not (isinstance(a, QuantileFunction) and isinstance(b, QuantileFunction)):
-            raise IncompatibleMetric(
-                f"{kind.value} compares distribution responses, got "
-                f"{type(a).__name__} and {type(b).__name__}"
-            )
-        if a.grid.shape != b.grid.shape or not np.array_equal(a.grid, b.grid):
-            raise DimensionMismatch(
-                "quantile functions live on different level grids; resample "
-                "before comparing"
-            )
-        for point in (a, b):
-            bad = [v for v in validate_point(point) if v.code == "NonMonotoneQuantile"]
-            if bad:
-                raise NonMonotoneQuantile(bad[0].message)
-        return a.grid
-    if not (isinstance(a, EuclideanVector) and isinstance(b, EuclideanVector)):
-        raise IncompatibleMetric(
-            f"{kind.value} compares Euclidean responses, got "
-            f"{type(a).__name__} and {type(b).__name__}"
-        )
-    if a.values.shape != b.values.shape:
-        raise DimensionMismatch(
-            f"vectors of length {a.values.size} and {b.values.size}"
-        )
-    return None
-
-
-def distance(kind: MetricKind, a: ResponsePoint, b: ResponsePoint) -> float:
-    """Distance between two response points under ``kind``.
-
-    Raises
-    ------
-    IncompatibleMetric
-        If the points' variant does not match the metric.
-    DimensionMismatch
-        If shapes or level grids differ.
-    NonMonotoneQuantile
-        If a quantile input has decreasing values.
-    """
-    grid = _check_pair(kind, a, b)
-    return float(rowwise_distance(kind, a.values, b.values, grid)[0])

@@ -44,9 +44,9 @@ from .errors import (
     TooFewSamples,
 )
 from .metrics import (
+    EuclideanVector,
     MetricKind,
     QuantileFunction,
-    ResponsePoint,
     trapezoid_weights,
 )
 
@@ -431,7 +431,7 @@ class ConstantMean:
     """Predicts the same response everywhere; a deliberately crude baseline
     that takes queries of any width (``p`` is None)."""
 
-    point: ResponsePoint
+    point: EuclideanVector | QuantileFunction
     p = None
 
     @property

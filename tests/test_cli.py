@@ -500,6 +500,7 @@ def test_hetero_tuned_rejects_mean_settings_it_cannot_use(tmp_path, capsys, key,
         ("[model]\nmean_kk = 8\n", "[model] mean_kk"),
         ("[model]\nrandomized_ties = true\n", "[model] randomized_ties"),
         ("[modle]\nalpha = 0.1\n", "[modle]"),
+        ("[model]\nfit_metric = euclidean-l2\n", "[model] fit_metric"),
     ],
 )
 def test_unknown_config_key_is_config_error(tmp_path, capsys, extra, named):
@@ -514,6 +515,45 @@ def test_missing_required_key_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.ini", "[data]\nscenario = setting4\n")
     assert _run(["simulate", "--config", cfg, "--out", tmp_path / "d.csv"]) == 2
     assert "[data] n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["alpha", "k_grid", "mean_k_grid"])
+def test_list_key_without_items_is_config_error(tmp_path, capsys, key):
+    cfg = _write_config(
+        tmp_path / "f.ini",
+        f"[data]\nscenario = setting4\nn = 40\n\n[model]\nalgorithm = hetero-tuned\n{key} = ,\n",
+    )
+    assert _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"]) == 2
+    assert f"[model] {key}: ',' is not a non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "replicate"])
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [("grid_points", -1, "at least 1"), ("grid_points", 0, "at least 1"), ("mc_draws", -3, "negative")],
+)
+def test_out_of_range_curve_settings_are_config_errors(tmp_path, capsys, command, key, value, reason):
+    # checked before the (absent) bundle is read or any replicate runs
+    sections = {"evaluate": f"model = {tmp_path / 'absent.json'}\neval_n = 40\n", "replicate": "replicates = 1\n"}
+    sections[command] += f"{key} = {value}\n"
+    text = "[data]\nscenario = setting4\nn = 40\n" + "".join(
+        f"\n[{name}]\n{body}" for name, body in sections.items()
+    )
+    cfg = _write_config(tmp_path / "c.ini", text)
+    assert _run([command, "--config", cfg, "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"[{command}] {key}: must" in err and reason in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("fit", "--threads 2"), ("predict", "--seed 1")])
+def test_flag_outside_its_subcommand_is_usage_error(tmp_path, capsys, command, flag):
+    cfg = _write_config(tmp_path / "c.ini", "[data]\nscenario = setting4\nn = 40\n")
+    with pytest.raises(SystemExit) as info:
+        _run([command, "--config", cfg, *flag.split(), "--out", tmp_path / "o.json"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_absent_config_file_is_config_error(tmp_path):

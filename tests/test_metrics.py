@@ -5,20 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricregions.errors import (
-    DimensionMismatch,
-    IncompatibleMetric,
-    NonMonotoneQuantile,
-)
+from metricregions.errors import DimensionMismatch
 from metricregions.metrics import (
-    EuclideanVector,
     MetricKind,
-    QuantileFunction,
     STANDARD_GRID,
-    distance,
     rowwise_distance,
     trapezoid_weights,
-    validate_point,
 )
 
 EQUISPACED_101 = np.linspace(0.005, 0.995, 101)
@@ -29,90 +21,38 @@ EQUISPACED_1001 = np.linspace(0.0005, 0.9995, 1001)
 # pinned distance values
 
 
+def _d(kind, a, b, grid=None):
+    return float(rowwise_distance(kind, a, b, grid)[0])
+
+
 def test_wasserstein_self_distance_is_zero():
-    f = QuantileFunction(EQUISPACED_101, np.sin(EQUISPACED_101) + 2.0 * EQUISPACED_101)
-    assert distance(MetricKind.WASSERSTEIN2, f, f) == 0.0
+    f = np.sin(EQUISPACED_101) + 2.0 * EQUISPACED_101
+    assert _d(MetricKind.WASSERSTEIN2, f, f, EQUISPACED_101) == 0.0
 
 
 def test_wasserstein_unit_offset_has_unit_distance():
     # constant integrand 1 over [0,1]; quadrature weights sum to one
-    f = QuantileFunction(EQUISPACED_101, np.zeros(101))
-    g = QuantileFunction(EQUISPACED_101, np.ones(101))
-    assert distance(MetricKind.WASSERSTEIN2, f, g) == pytest.approx(1.0, abs=1e-12)
+    d = _d(MetricKind.WASSERSTEIN2, np.zeros(101), np.ones(101), EQUISPACED_101)
+    assert d == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wasserstein_identity_quantile_vs_zero():
     # analytic integral of t^2 over [0,1] is 1/3
-    f = QuantileFunction(EQUISPACED_1001, EQUISPACED_1001.copy())
-    g = QuantileFunction(EQUISPACED_1001, np.zeros(1001))
-    assert distance(MetricKind.WASSERSTEIN2, f, g) == pytest.approx(
-        math.sqrt(1.0 / 3.0), abs=1e-3
-    )
+    d = _d(MetricKind.WASSERSTEIN2, EQUISPACED_1001, np.zeros(1001), EQUISPACED_1001)
+    assert d == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-3)
 
 
 def test_euclidean_sup_takes_largest_coordinate_gap():
-    a = EuclideanVector([1.0, 5.0])
-    b = EuclideanVector([4.0, 3.0])
-    assert distance(MetricKind.EUCLIDEAN_SUP, a, b) == 3.0
+    assert _d(MetricKind.EUCLIDEAN_SUP, [1.0, 5.0], [4.0, 3.0]) == 3.0
 
 
 def test_euclidean_l2_matches_hypot():
-    a = EuclideanVector([0.0, 0.0])
-    b = EuclideanVector([3.0, 4.0])
-    assert distance(MetricKind.EUCLIDEAN_L2, a, b) == pytest.approx(5.0, abs=1e-12)
+    assert _d(MetricKind.EUCLIDEAN_L2, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# validation
-
-
-def test_validate_plain_vector_is_clean():
-    assert validate_point(EuclideanVector([1.0, 2.0, 3.0])) == []
-
-
-def test_validate_reports_nonmonotone_index():
-    bad = QuantileFunction([0.25, 0.5, 0.75], [2.0, 1.0, 3.0])
-    violations = validate_point(bad)
-    assert [v.code for v in violations] == ["NonMonotoneQuantile"]
-    assert violations[0].index == 1
-
-
-def test_validate_reports_flat_grid():
-    bad = QuantileFunction([0.5, 0.5], [0.0, 0.0])
-    assert "GridNotStrictlyIncreasing" in [v.code for v in validate_point(bad)]
-
-
-def test_validate_reports_nan_values():
-    bad = EuclideanVector([1.0, math.nan])
-    codes = [(v.code, v.index) for v in validate_point(bad)]
-    assert codes == [("NonFinite", 1)]
-
-
-def test_distance_rejects_variant_mismatch():
-    v = EuclideanVector([1.0])
-    q = QuantileFunction([0.5], [1.0])
-    with pytest.raises(IncompatibleMetric):
-        distance(MetricKind.EUCLIDEAN_L2, v, q)
-    with pytest.raises(IncompatibleMetric):
-        distance(MetricKind.WASSERSTEIN2, v, v)
-
-
-def test_distance_rejects_grid_and_shape_mismatch():
+def test_wasserstein_without_grid_is_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        distance(
-            MetricKind.WASSERSTEIN2,
-            QuantileFunction([0.25, 0.75], [0.0, 1.0]),
-            QuantileFunction([0.2, 0.8], [0.0, 1.0]),
-        )
-    with pytest.raises(DimensionMismatch):
-        distance(MetricKind.EUCLIDEAN_L2, EuclideanVector([1.0]), EuclideanVector([1.0, 2.0]))
-
-
-def test_distance_rejects_decreasing_quantiles():
-    good = QuantileFunction([0.25, 0.5, 0.75], [0.0, 1.0, 2.0])
-    bad = QuantileFunction([0.25, 0.5, 0.75], [2.0, 1.0, 3.0])
-    with pytest.raises(NonMonotoneQuantile):
-        distance(MetricKind.WASSERSTEIN2, good, bad)
+        rowwise_distance(MetricKind.WASSERSTEIN2, np.zeros((2, 3)), np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +91,7 @@ def vector_triples(draw):
     rows = draw(
         st.lists(st.lists(finite, min_size=m, max_size=m), min_size=3, max_size=3)
     )
-    return [EuclideanVector(r) for r in rows]
+    return np.asarray(rows, dtype=np.float64), None
 
 
 @st.composite
@@ -181,48 +121,44 @@ def quantile_triples(draw):
             max_size=3,
         )
     )
-    points = []
-    for s, inc in zip(starts, steps):
-        vals = s + np.concatenate([[0.0], np.cumsum(inc)])
-        points.append(QuantileFunction(levels, vals))
-    return points
+    rows = [s + np.concatenate([[0.0], np.cumsum(inc)]) for s, inc in zip(starts, steps)]
+    return np.asarray(rows), levels
 
 
-def _axiom_check(kind, a, b, c):
-    dab = distance(kind, a, b)
-    dba = distance(kind, b, a)
-    dac = distance(kind, a, c)
-    dcb = distance(kind, c, b)
+def _axiom_check(kind, points, grid):
+    a, b, c = points
+    dab = _d(kind, a, b, grid)
+    dba = _d(kind, b, a, grid)
+    dac = _d(kind, a, c, grid)
+    dcb = _d(kind, c, b, grid)
     assert dab >= 0.0
     assert dab == dba  # symmetric evaluation order is bitwise identical
-    assert distance(kind, a, a) == 0.0
-    if np.array_equal(a.values, b.values):
+    assert _d(kind, a, a, grid) == 0.0
+    if np.array_equal(a, b):
         assert dab <= 1e-12
     assert dab <= dac + dcb + 1e-9 * (1.0 + dab)
 
 
 @settings(max_examples=200, deadline=None)
 @given(vector_triples())
-def test_euclidean_metric_axioms(points):
-    a, b, c = points
-    _axiom_check(MetricKind.EUCLIDEAN_L2, a, b, c)
-    _axiom_check(MetricKind.EUCLIDEAN_SUP, a, b, c)
+def test_euclidean_metric_axioms(triple):
+    _axiom_check(MetricKind.EUCLIDEAN_L2, *triple)
+    _axiom_check(MetricKind.EUCLIDEAN_SUP, *triple)
 
 
 @settings(max_examples=200, deadline=None)
 @given(quantile_triples())
-def test_quantile_metric_axioms(points):
-    a, b, c = points
-    _axiom_check(MetricKind.WASSERSTEIN2, a, b, c)
-    _axiom_check(MetricKind.QUANTILE_SUP, a, b, c)
+def test_quantile_metric_axioms(triple):
+    _axiom_check(MetricKind.WASSERSTEIN2, *triple)
+    _axiom_check(MetricKind.QUANTILE_SUP, *triple)
 
 
 @settings(max_examples=100, deadline=None)
 @given(quantile_triples())
-def test_wasserstein_never_exceeds_sup(points):
-    a, b, _ = points
-    dw = distance(MetricKind.WASSERSTEIN2, a, b)
-    ds = distance(MetricKind.QUANTILE_SUP, a, b)
+def test_wasserstein_never_exceeds_sup(triple):
+    (a, b, _), grid = triple
+    dw = _d(MetricKind.WASSERSTEIN2, a, b, grid)
+    ds = _d(MetricKind.QUANTILE_SUP, a, b, grid)
     assert dw <= ds + 1e-9
 
 
@@ -237,40 +173,7 @@ def test_wasserstein_stable_under_grid_refinement():
     for G in (26, 101):
         coarse = np.linspace(0.01, 0.99, G)
         fine = np.sort(np.concatenate([coarse, (coarse[:-1] + coarse[1:]) / 2.0]))
-        d_coarse = distance(
-            MetricKind.WASSERSTEIN2,
-            QuantileFunction(coarse, qf(coarse)),
-            QuantileFunction(coarse, qg(coarse)),
-        )
-        d_fine = distance(
-            MetricKind.WASSERSTEIN2,
-            QuantileFunction(fine, qf(fine)),
-            QuantileFunction(fine, qg(fine)),
-        )
+        d_coarse = _d(MetricKind.WASSERSTEIN2, qf(coarse), qg(coarse), coarse)
+        d_fine = _d(MetricKind.WASSERSTEIN2, qf(fine), qg(fine), fine)
         assert abs(d_coarse - d_fine) < 5.0 / G
 
-
-def test_rowwise_distance_matches_scalar_calls(rng_np):
-    a = rng_np.normal(size=(40, 5))
-    b = rng_np.normal(size=(40, 5))
-    batch = rowwise_distance(MetricKind.EUCLIDEAN_L2, a, b)
-    single = [
-        distance(MetricKind.EUCLIDEAN_L2, EuclideanVector(a[i]), EuclideanVector(b[i]))
-        for i in range(40)
-    ]
-    # batched BLAS may accumulate in a different order than row-at-a-time
-    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
-
-    grid = np.linspace(0.05, 0.95, 5)
-    qa = np.sort(rng_np.normal(size=(40, 5)), axis=1)
-    qb = np.sort(rng_np.normal(size=(40, 5)), axis=1)
-    batch_w = rowwise_distance(MetricKind.WASSERSTEIN2, qa, qb, grid)
-    single_w = [
-        distance(
-            MetricKind.WASSERSTEIN2,
-            QuantileFunction(grid, qa[i]),
-            QuantileFunction(grid, qb[i]),
-        )
-        for i in range(40)
-    ]
-    np.testing.assert_allclose(batch_w, single_w, rtol=1e-12, atol=0.0)

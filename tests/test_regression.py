@@ -10,9 +10,8 @@ from metricregions.errors import (
 )
 from metricregions.metrics import (
     MetricKind,
-    QuantileFunction,
-    distance,
     EuclideanVector,
+    rowwise_distance,
 )
 from metricregions.regression import (
     ConstantMean,
@@ -44,10 +43,29 @@ def test_dataset_rejects_nan_predictors():
         LabeledDataset(np.array([[0.0], [np.nan]]), np.array([[1.0], [2.0]]))
 
 
+@pytest.mark.parametrize(
+    "responses, grid, message",
+    [
+        ([[1.0, 2.0], [np.nan, 0.0]], None, "non-finite"),
+        ([[0.0, 1.0], [1.0, 2.0]], [0.0, 0.5], "inside (0, 1)"),
+        ([[0.0, 1.0], [1.0, 2.0]], [0.5, 0.5], "increase strictly"),
+        ([[0.0, 1.0], [1.0, 2.0]], [0.25, 0.5, 0.75], "does not match response width"),
+    ],
+    ids=["nan-response", "grid-outside-unit", "grid-not-increasing", "grid-width"],
+)
+def test_dataset_rejects_bad_responses(responses, grid, message):
+    with pytest.raises(InvalidDataset) as info:
+        LabeledDataset(np.array([[0.0], [1.0]]), np.array(responses), grid)
+    assert message in str(info.value)
+
+
 def test_dataset_rejects_decreasing_quantile_rows():
+    # the message names the offending row
     grid = np.array([0.25, 0.5, 0.75])
-    with pytest.raises(InvalidDataset):
-        LabeledDataset(np.array([[0.0]]), np.array([[2.0, 1.0, 3.0]]), grid)
+    responses = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 3.0]])
+    with pytest.raises(InvalidDataset) as info:
+        LabeledDataset(np.array([[0.0], [1.0]]), responses, grid)
+    assert "response row 1 " in str(info.value)
 
 
 def test_dataset_rejects_empty():
@@ -109,15 +127,8 @@ def _w2_objective(candidate, rows, grid, weights=None):
     # mean (or weighted sum) of squared Wasserstein distances to the rows
     n = rows.shape[0]
     w = np.ones(n) / n if weights is None else weights
-    total = 0.0
-    for i in range(n):
-        d = distance(
-            MetricKind.WASSERSTEIN2,
-            QuantileFunction(grid, candidate),
-            QuantileFunction(grid, rows[i]),
-        )
-        total += w[i] * d * d
-    return total
+    d = rowwise_distance(MetricKind.WASSERSTEIN2, rows, candidate, grid)
+    return float(np.sum(w * d * d))
 
 
 def test_knn_wasserstein_mean_is_pointwise_average():
