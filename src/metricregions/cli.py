@@ -43,10 +43,11 @@ from .errors import (
 from .evaluate import evaluate_model
 from .metrics import MetricKind
 from .regions import (
+    default_radius_k_grid,
     fit_conformalized_hetero,
-    fit_hetero_tuned,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
+    tune_k_marginal,
 )
 from .regression import (
     LabeledDataset,
@@ -289,7 +290,7 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
             raise InvalidConfig("[model] mean: hetero-tuned fits a knn mean only")
         if mean_spec.k is not None:
             raise InvalidConfig("[model] mean_k: hetero-tuned selects the mean k itself; use auto")
-        radius_k_grid = cfg.get_ints("model", "k_grid", None)
+        k_grid = cfg.get_ints("model", "k_grid", None)
     if algorithm in ("hetero-knn", "conformal-hetero"):
         k = cfg.get_int("model", "k")
 
@@ -298,7 +299,7 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
         train, calib, conformal = split_three(data, train_fraction, calib_fraction, seed)
     else:
         train, calib = split_dataset(data, SplitConfig(train_fraction, seed))
-    # hetero-tuned selects the same mean k here that it would select per alpha
+    # one mean for every alpha
     mean = fit_mean(train, mean_spec, rng.derive_seed(seed, "mean"))
 
     def fit(alpha: float):
@@ -312,14 +313,9 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
             return fit_conformalized_hetero(
                 train, calib, conformal, alpha, k, mean, region_metric, seed=seed
             )
-        return fit_hetero_tuned(
-            train, calib, alpha,
-            fit_metric=fit_metric,
-            region_metric=region_metric,
-            mean_k_grid=(mean.k,),
-            radius_k_grid=radius_k_grid,
-            seed=seed,
-        ).model
+        grid = k_grid or default_radius_k_grid(calib.n)
+        base = fit_heteroscedastic_knn(train, calib, alpha, grid[0], mean, region_metric, seed=seed)
+        return tune_k_marginal(base, grid, calib).model
 
     return [fit(alpha) for alpha in alphas]
 
@@ -376,8 +372,9 @@ def _curve_settings(cfg: _Config, section: str) -> tuple[int, int]:
     """The coverage-curve grid size and Monte Carlo draw count of an
     ``[evaluate]`` or ``[replicate]`` section."""
     grid_points = cfg.get_int(section, "grid_points", 101)
-    if grid_points < 1:
-        raise InvalidConfig(f"[{section}] grid_points: must be at least 1")
+    # the integrated error of a one-point curve is 0 whatever its coverage
+    if grid_points < 2:
+        raise InvalidConfig(f"[{section}] grid_points: must be at least 2")
     mc_draws = cfg.get_int(section, "mc_draws", 0)
     if mc_draws < 0:
         raise InvalidConfig(f"[{section}] mc_draws: must not be negative")

@@ -60,11 +60,9 @@ __all__ = [
     "HeteroscedasticRegionModel",
     "ConformalizedHeteroModel",
     "KTuneResult",
-    "TunedFitResult",
     "empirical_quantile",
     "fit_homoscedastic",
     "fit_heteroscedastic_knn",
-    "with_radius_k",
     "tune_k_marginal",
     "fit_hetero_tuned",
     "fit_conformalized_hetero",
@@ -235,21 +233,16 @@ def fit_heteroscedastic_knn(
     )
 
 
-def with_radius_k(model: HeteroscedasticRegionModel, k: int) -> HeteroscedasticRegionModel:
-    """Same calibration store, different neighbor count for the radius."""
-    if not 1 <= k <= model.n_calibration:
-        raise KTooLarge(f"radius k={k} outside 1..{model.n_calibration}")
-    return replace(model, k=int(k))
-
-
 # ---------------------------------------------------------------------------
 # marginal-coverage tuning of the radius k
 
 
 @dataclass(frozen=True, eq=False)
 class KTuneResult:
-    """Coverage per candidate k and the pick closest to nominal."""
+    """The tuned model, coverage per candidate k and the pick closest to
+    nominal; ``model`` is the input model with ``k = k_star``."""
 
+    model: HeteroscedasticRegionModel
     k_grid: tuple[int, ...]
     coverage: np.ndarray
     k_star: int
@@ -266,7 +259,8 @@ def tune_k_marginal(
     tune_set: LabeledDataset,
 ) -> KTuneResult:
     """Pick the radius k whose marginal coverage on ``tune_set`` is closest
-    to ``1 - model.alpha``; ties go to the smallest k."""
+    to ``1 - model.alpha``; ties go to the smallest k.  The calibration
+    store is shared with ``model``; only the neighbor count changes."""
     grid = sorted({int(k) for k in k_grid})
     if not grid:
         raise InvalidConfig("empty radius k grid")
@@ -287,16 +281,7 @@ def tune_k_marginal(
     )
     coverage = (residuals[:, None] <= radii).mean(axis=0)
     k_star = grid[int(np.argmin(np.abs(coverage - (1.0 - model.alpha))))]
-    return KTuneResult(tuple(grid), coverage, int(k_star))
-
-
-@dataclass(frozen=True, eq=False)
-class TunedFitResult:
-    """Final tuned model plus the two stage diagnostics."""
-
-    model: HeteroscedasticRegionModel
-    mean_k: int
-    tune: KTuneResult
+    return KTuneResult(replace(model, k=int(k_star)), tuple(grid), coverage, int(k_star))
 
 
 def fit_hetero_tuned(
@@ -306,29 +291,17 @@ def fit_hetero_tuned(
     *,
     fit_metric: MetricKind = MetricKind.EUCLIDEAN_L2,
     region_metric: MetricKind = MetricKind.EUCLIDEAN_L2,
-    mean_k_grid: Sequence[int] | None = None,
-    radius_k_grid: Sequence[int] | None = None,
     seed: int = 0,
-) -> TunedFitResult:
-    """Two-stage pipeline: leave-one-out bandwidth for the mean, then a
-    radius k tuned for marginal coverage on ``calib`` itself."""
-    mean_spec = MeanSpec(
-        "knn",
-        fit_metric,
-        k=None,
-        k_grid=tuple(mean_k_grid) if mean_k_grid is not None else None,
-    )
-    mean_est = fit_mean(train, mean_spec, rng.derive_seed(seed, "mean"))
-    grid = (
-        tuple(radius_k_grid)
-        if radius_k_grid is not None
-        else default_radius_k_grid(calib.n)
-    )
+) -> KTuneResult:
+    """Two-stage pipeline on the default grids: a kNN mean whose k is
+    picked by leave-one-out, then a radius k tuned for marginal coverage
+    on ``calib`` itself.  Other grids compose the same three steps:
+    ``fit_mean``, ``fit_heteroscedastic_knn`` and ``tune_k_marginal``."""
+    grid = default_radius_k_grid(calib.n)
     base = fit_heteroscedastic_knn(
-        train, calib, alpha, grid[0], mean_est, region_metric, seed=seed
+        train, calib, alpha, grid[0], MeanSpec("knn", fit_metric), region_metric, seed=seed
     )
-    tune = tune_k_marginal(base, grid, calib)
-    return TunedFitResult(with_radius_k(base, tune.k_star), mean_est.k, tune)
+    return tune_k_marginal(base, grid, calib)
 
 
 # ---------------------------------------------------------------------------

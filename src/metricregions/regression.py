@@ -414,6 +414,10 @@ def fit_global_frechet(data: LabeledDataset, fit_metric: MetricKind) -> GlobalFr
     order = canonical_order(data)
     data = data.subset(order)
     mean_x = data.predictors.mean(axis=0)
+    # a constant column is centred exactly, so its ridged variance cannot
+    # amplify the rounding of its mean into the other coefficients
+    constant = (data.predictors == data.predictors[0]).all(axis=0)
+    mean_x[constant] = data.predictors[0, constant]
     xc = data.predictors - mean_x
     cov = (xc.T @ xc) / (data.n - 1)
     if np.linalg.cond(cov) > 1e12:

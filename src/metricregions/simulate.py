@@ -34,7 +34,7 @@ from scipy.special import gammaincinv, ndtri
 
 from . import rng
 from .errors import InvalidConfig, UnsupportedScenario
-from .metrics import MetricKind, STANDARD_GRID
+from .metrics import STANDARD_GRID
 from .regression import LabeledDataset
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "scenario_tag",
     "scenario_from_tag",
     "predictor_range",
-    "default_region_metric",
     "generate",
     "sample_responses",
     "oracle_region",
@@ -141,14 +140,6 @@ def predictor_range(spec: ScenarioSpec) -> tuple[float, float]:
     return (0.0, 1.0)
 
 
-def default_region_metric(spec: ScenarioSpec) -> MetricKind:
-    if isinstance(spec, WassersteinExample):
-        return MetricKind.WASSERSTEIN2
-    if isinstance(spec, GaussianMulti):
-        return MetricKind.EUCLIDEAN_SUP
-    return MetricKind.EUCLIDEAN_L2
-
-
 # ---------------------------------------------------------------------------
 # generation
 
@@ -165,59 +156,51 @@ def _empirical_quantile_rows(sorted_samples: np.ndarray, levels: np.ndarray) -> 
     return sorted_samples[:, idx]
 
 
+def _draw_responses(spec: ScenarioSpec, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One draw from the conditional law at each predictor row of the
+    (n, p) array ``x``: the (n, m) stacked response values."""
+    n = x.shape[0]
+    if isinstance(spec, (Setting1, Setting2, Setting3)):
+        s = x[:, 0]
+        eps = gen.normal(0.0, 2.0, n) if isinstance(spec, Setting3) else gen.uniform(-1.0, 1.0, n)
+        trend = s if isinstance(spec, Setting1) else np.exp(s)
+        return (3.0 + trend + s * eps)[:, None]
+    if isinstance(spec, Setting4):
+        return (x[:, 0] + gen.uniform(0.0, 5.0, n))[:, None]
+    if isinstance(spec, GaussianMulti):
+        x_sum = x.sum(axis=1)
+        z = gen.standard_normal((n, spec.response_dim))
+        return (5.0 + x_sum)[:, None] + _gaussian_scale(spec, x_sum)[:, None] * z
+    if isinstance(spec, WassersteinExample):
+        noise = spec.noise_sd * gen.standard_normal((n, spec.n_obs_per_curve))
+        samples = (x @ np.asarray(spec.coefficients))[:, None] + noise
+        samples.sort(axis=1)
+        return _empirical_quantile_rows(samples, np.asarray(STANDARD_GRID))
+    raise UnsupportedScenario(f"cannot draw responses from {spec!r}")
+
+
 def generate(spec: ScenarioSpec, n: int, seed: int = 0) -> LabeledDataset:
     """Draw an i.i.d. dataset of size ``n``; bit-identical for a given seed."""
     if n < 1:
         raise InvalidConfig("n must be at least 1")
     gen = rng.stream(seed, "simulate", scenario_tag(spec))
-    if isinstance(spec, (Setting1, Setting2, Setting3)):
-        x = gen.uniform(0.0, 5.0, n)
-        eps = gen.normal(0.0, 2.0, n) if isinstance(spec, Setting3) else gen.uniform(-1.0, 1.0, n)
-        trend = x if isinstance(spec, Setting1) else np.exp(x)
-        return LabeledDataset(x, 3.0 + trend + x * eps)
-    if isinstance(spec, Setting4):
-        x = gen.uniform(0.0, 5.0, n)
-        eps = gen.uniform(0.0, 5.0, n)
-        return LabeledDataset(x, x + eps)
     if isinstance(spec, GaussianMulti):
-        x = gen.random((n, spec.predictor_dim))
-        z = gen.standard_normal((n, spec.response_dim))
-        x_sum = x.sum(axis=1)
-        y = (5.0 + x_sum)[:, None] + _gaussian_scale(spec, x_sum)[:, None] * z
-        return LabeledDataset(x, y)
-    if isinstance(spec, WassersteinExample):
-        coef = np.asarray(spec.coefficients)
-        x = gen.random((n, coef.size))
-        noise = spec.noise_sd * gen.standard_normal((n, spec.n_obs_per_curve))
-        samples = (x @ coef)[:, None] + noise
-        samples.sort(axis=1)
-        values = _empirical_quantile_rows(samples, np.asarray(STANDARD_GRID))
-        return LabeledDataset(x, values, np.asarray(STANDARD_GRID))
-    raise UnsupportedScenario(f"cannot generate from {spec!r}")
+        p = spec.predictor_dim
+    elif isinstance(spec, WassersteinExample):
+        p = len(spec.coefficients)
+    else:
+        p = 1
+    # one stream: the predictors first, then the responses given them
+    x = gen.uniform(*predictor_range(spec), (n, p))
+    grid = np.asarray(STANDARD_GRID) if isinstance(spec, WassersteinExample) else None
+    return LabeledDataset(x, _draw_responses(spec, x, gen), grid)
 
 
 def sample_responses(spec: ScenarioSpec, x: np.ndarray, n_draws: int, seed: int = 0) -> np.ndarray:
     """Conditional draws of the stacked response values at a fixed x."""
     gen = rng.stream(seed, "conditional", scenario_tag(spec))
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if isinstance(spec, (Setting1, Setting2, Setting3)):
-        s = float(x[0])
-        eps = gen.normal(0.0, 2.0, n_draws) if isinstance(spec, Setting3) else gen.uniform(-1.0, 1.0, n_draws)
-        trend = s if isinstance(spec, Setting1) else math.exp(s)
-        return (3.0 + trend + s * eps)[:, None]
-    if isinstance(spec, Setting4):
-        return (float(x[0]) + gen.uniform(0.0, 5.0, n_draws))[:, None]
-    if isinstance(spec, GaussianMulti):
-        x_sum = float(x.sum())
-        z = gen.standard_normal((n_draws, spec.response_dim))
-        return (5.0 + x_sum) + float(_gaussian_scale(spec, np.array([x_sum]))[0]) * z
-    if isinstance(spec, WassersteinExample):
-        coef = np.asarray(spec.coefficients)
-        noise = spec.noise_sd * gen.standard_normal((n_draws, spec.n_obs_per_curve))
-        samples = float(x @ coef) + noise
-        samples.sort(axis=1)
-        return _empirical_quantile_rows(samples, np.asarray(STANDARD_GRID))
-    raise UnsupportedScenario(f"cannot sample from {spec!r}")
+    return _draw_responses(spec, np.broadcast_to(x, (n_draws, x.size)), gen)
 
 
 # ---------------------------------------------------------------------------

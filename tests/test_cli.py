@@ -15,9 +15,9 @@ from metricregions.cli import main
 from metricregions.metrics import MetricKind
 from metricregions.regions import (
     fit_conformalized_hetero,
-    fit_hetero_tuned,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
+    tune_k_marginal,
 )
 from metricregions.regression import (
     LabeledDataset,
@@ -222,9 +222,11 @@ def _direct_models(algorithm, seed):
         ]
     train, calib = split_dataset(data, SplitConfig(0.5, seed))
     if algorithm == "hetero-tuned":
+        # the mean k is picked by leave-one-out, then the radius k per alpha
+        mean, grid = MeanSpec("knn", k_grid=(4, 8, 16)), (10, 20, 40)
         return [
-            fit_hetero_tuned(
-                train, calib, a, mean_k_grid=(4, 8, 16), radius_k_grid=(10, 20, 40), seed=seed
+            tune_k_marginal(
+                fit_heteroscedastic_knn(train, calib, a, grid[0], mean, metric, seed=seed), grid, calib
             ).model
             for a in alphas
         ]
@@ -531,7 +533,12 @@ def test_list_key_without_items_is_config_error(tmp_path, capsys, key):
 @pytest.mark.parametrize("command", ["evaluate", "replicate"])
 @pytest.mark.parametrize(
     "key, value, reason",
-    [("grid_points", -1, "at least 1"), ("grid_points", 0, "at least 1"), ("mc_draws", -3, "negative")],
+    [
+        ("grid_points", -1, "at least 2"),
+        ("grid_points", 0, "at least 2"),
+        ("grid_points", 1, "at least 2"),
+        ("mc_draws", -3, "negative"),
+    ],
 )
 def test_out_of_range_curve_settings_are_config_errors(tmp_path, capsys, command, key, value, reason):
     # checked before the (absent) bundle is read or any replicate runs

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -20,7 +21,6 @@ from metricregions.regions import (
     fit_heteroscedastic_knn,
     fit_homoscedastic,
     tune_k_marginal,
-    with_radius_k,
 )
 from metricregions.regression import (
     ConstantMean,
@@ -184,7 +184,9 @@ def test_hetero_k_bounds(rng_np):
         train, calib, 0.2, 5, MeanSpec("knn", k=3), MetricKind.EUCLIDEAN_L2
     )
     with pytest.raises(KTooLarge):
-        with_radius_k(model, 0)
+        tune_k_marginal(model, [0, 5], calib)
+    with pytest.raises(KTooLarge):
+        tune_k_marginal(model, [5, calib.n + 1], calib)
 
 
 def test_hetero_tie_heavy_queries_are_deterministic(rng_np):
@@ -230,6 +232,10 @@ def test_tune_single_candidate_returned(rng_np):
     )
     result = tune_k_marginal(model, [9], calib)
     assert result.k_star == 9
+    # the tuned model is the input model with k = k_star, on the same store
+    assert result.model.k == 9 and model.k == 5
+    assert result.model.calibration_residuals is model.calibration_residuals
+    assert result.model.mean is model.mean
 
 
 def test_tune_ties_resolve_to_smallest_k(rng_np):
@@ -248,9 +254,7 @@ def test_tuned_coverage_near_nominal_on_large_holdout():
     seed = 2718
     data = generate(Setting1(), 3000, seed)
     train, calib = split_dataset(data, SplitConfig(0.5, seed))
-    fitted = fit_hetero_tuned(
-        train, calib, 0.2, radius_k_grid=(25, 50, 100, 200, 400), seed=seed
-    )
+    fitted = fit_hetero_tuned(train, calib, 0.2, seed=seed)
     holdout = generate(Setting1(), 100_000, rng.derive_seed(seed, "holdout"))
     centers = fitted.model.center_values(holdout.predictors)
     resid = np.abs(holdout.response_values[:, 0] - centers[:, 0])
@@ -441,7 +445,7 @@ def test_tune_coverage_and_radii_match_brute_force(lattice, p):
     for i, k in enumerate(grid):
         expected = _brute_radii(model, tune_set.predictors, k)
         assert result.coverage[i] == np.mean(residuals <= expected), k
-        tuned = with_radius_k(model, k).radii(tune_set.predictors)
+        tuned = dataclasses.replace(model, k=k).radii(tune_set.predictors)
         assert np.array_equal(tuned, expected), k
 
 

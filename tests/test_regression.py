@@ -224,6 +224,20 @@ def test_global_frechet_constant_column_gets_ridged(rng_np):
     assert np.isfinite(pred).all()
 
 
+def test_global_frechet_constant_column_does_not_move_predictions(rng_np):
+    # 0.1 is not the rounded mean of 200 copies of itself; an inexact
+    # centring, times the ridged variance, would leak into the predictions
+    x = rng_np.uniform(0.0, 5.0, 200)
+    X = np.column_stack([x, np.full(200, 0.1)])
+    model = fit_global_frechet(LabeledDataset(X, 2.0 * x + rng_np.normal(size=200)), MetricKind.EUCLIDEAN_L2)
+    assert model.mean_x[1] == 0.1 and model.coef[1, 0] == 0.0
+    assert model.cov_inv[0, 1] == 0.0 and model.cov_inv[1, 0] == 0.0
+    queries = np.column_stack([rng_np.uniform(0.0, 5.0, 20), np.full(20, 0.1)])
+    moved = queries.copy()
+    moved[:, 1] = -50.0
+    assert np.array_equal(model.predict_values(moved), model.predict_values(queries))
+
+
 def test_global_frechet_cov_inverse_converges_to_identity(rng_np):
     X = rng_np.standard_normal((10000, 2))
     data = LabeledDataset(X, rng_np.normal(size=(10000, 1)))

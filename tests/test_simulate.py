@@ -20,7 +20,6 @@ from metricregions.simulate import (
     WassersteinExample,
     chi_square_quantile,
     conditional_mean_quantiles,
-    default_region_metric,
     generate,
     noise_quantile_profile,
     normal_quantile,
@@ -124,9 +123,6 @@ def test_tags_round_trip():
 def test_ranges_and_default_metrics():
     assert predictor_range(Setting3()) == (0.0, 5.0)
     assert predictor_range(GaussianMulti()) == (0.0, 1.0)
-    assert default_region_metric(Setting1()) is MetricKind.EUCLIDEAN_L2
-    assert default_region_metric(GaussianMulti()) is MetricKind.EUCLIDEAN_SUP
-    assert default_region_metric(WassersteinExample()) is MetricKind.WASSERSTEIN2
 
 
 # ---------------------------------------------------------------------------
