@@ -55,6 +55,7 @@ from .regions import (
     fit_hetero_tuned,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
+    region_radii,
     tune_k_marginal,
 )
 from .simulate import (
@@ -128,6 +129,7 @@ __all__ = [
     "loo_select_k",
     "marginal_coverage",
     "oracle_region",
+    "region_radii",
     "rowwise_distance",
     "select_global_k",
     "split_dataset",

@@ -19,6 +19,7 @@ import argparse
 import configparser
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,10 +44,12 @@ from .errors import (
 from .evaluate import evaluate_model
 from .metrics import MetricKind
 from .regions import (
+    _validate_alpha,
     default_radius_k_grid,
     fit_conformalized_hetero,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
+    region_radii,
     tune_k_marginal,
 )
 from .regression import (
@@ -250,6 +253,8 @@ def _region_metric(cfg: _Config, default: MetricKind) -> MetricKind:
 def _alphas(cfg: _Config) -> tuple[float, ...]:
     out = []
     for a in cfg.get_floats("model", "alpha", (0.2,)):
+        # checked here: the local-radius fits copy the first alpha's store to the rest
+        _validate_alpha(a)
         if a not in out:
             out.append(float(a))
     return tuple(out)
@@ -301,23 +306,25 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
         train, calib = split_dataset(data, SplitConfig(train_fraction, seed))
     # one mean for every alpha
     mean = fit_mean(train, mean_spec, rng.derive_seed(seed, "mean"))
-
-    def fit(alpha: float):
-        if algorithm == "homoscedastic":
-            return fit_homoscedastic(train, calib, alpha, mean, region_metric, seed=seed)
-        if algorithm == "hetero-knn":
-            return fit_heteroscedastic_knn(
-                train, calib, alpha, k, mean, region_metric, seed=seed
-            )
-        if algorithm == "conformal-hetero":
-            return fit_conformalized_hetero(
+    if algorithm == "homoscedastic":
+        return [
+            fit_homoscedastic(train, calib, alpha, mean, region_metric, seed=seed)
+            for alpha in alphas
+        ]
+    if algorithm == "conformal-hetero":
+        return [
+            fit_conformalized_hetero(
                 train, calib, conformal, alpha, k, mean, region_metric, seed=seed
             )
-        grid = k_grid or default_radius_k_grid(calib.n)
-        base = fit_heteroscedastic_knn(train, calib, alpha, grid[0], mean, region_metric, seed=seed)
-        return tune_k_marginal(base, grid, calib).model
-
-    return [fit(alpha) for alpha in alphas]
+            for alpha in alphas
+        ]
+    # one calibration store for every alpha
+    if algorithm == "hetero-knn":
+        store = fit_heteroscedastic_knn(train, calib, alphas[0], k, mean, region_metric, seed=seed)
+        return [replace(store, alpha=alpha) for alpha in alphas]
+    grid = k_grid or default_radius_k_grid(calib.n)
+    store = fit_heteroscedastic_knn(train, calib, alphas[0], grid[0], mean, region_metric, seed=seed)
+    return [tune_k_marginal(replace(store, alpha=alpha), grid, calib).model for alpha in alphas]
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +352,16 @@ def _cmd_predict(cfg: _Config, args) -> None:
     for model in models:
         if id(model.mean) not in centers:
             centers[id(model.mean)] = model.center_values(queries)
+    # alphas that share a calibration store share one neighbour search
     columns = [
         RegionColumns(
             model.alpha,
             model.region_metric,
             model.mean.quantile_grid,
             centers[id(model.mean)],
-            model.radii(queries),
+            radii,
         )
-        for model in models
+        for model, radii in zip(models, region_radii(models, queries))
     ]
     write_regions_json(args.out, queries, columns)
 

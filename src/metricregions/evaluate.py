@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .errors import EmptyEvalSet, MultivariateUnsupported
+from .errors import EmptyEvalSet, InvalidConfig, MultivariateUnsupported
 from .metrics import rowwise_distance
 from .regression import LabeledDataset
 from .simulate import ScenarioSpec, generate, oracle_contains, predictor_range
@@ -158,6 +158,9 @@ def evaluate_model(
     region error when a generating scenario is supplied and
     ``mc_draws > 0``.  The curve's ``grid_points`` span the scenario's
     predictor range, or the evaluation predictors without a scenario."""
+    # the integrated error of a one-point curve is 0 whatever its coverage
+    if grid_points < 2:
+        raise InvalidConfig(f"grid_points={grid_points}: must be at least 2")
     ind = coverage_indicators(model, eval_set)
     curve = None
     l2 = None

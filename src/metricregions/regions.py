@@ -22,7 +22,11 @@ Residuals are always distances in the region metric between observed
 responses and the fitted mean, computed once per calibration point.
 
 Every model answers arrays of queries: ``center_values(queries)`` gives
-the (rows, m) centres and ``radii(queries)`` the (rows,) radii.  A
+the (rows, m) centres and ``radii(queries)`` the (rows,) radii.
+``region_radii(models, queries)`` gives the radii of several models at
+once: local-radius models that share a calibration store (equal
+predictors, residuals, k and seed) share one neighbour search, and each
+takes its own order statistic of the same neighbour residuals.  A
 fitted mean is any object with ``predict_values(queries) -> (rows, m)``,
 ``p`` and ``quantile_grid``; ``evaluate.coverage_indicators`` tests
 whether responses lie in their regions.
@@ -67,6 +71,7 @@ __all__ = [
     "fit_hetero_tuned",
     "fit_conformalized_hetero",
     "default_radius_k_grid",
+    "region_radii",
 ]
 
 
@@ -190,14 +195,7 @@ class HeteroscedasticRegionModel:
         return self.mean.predict_values(_as_query_matrix(queries, p))
 
     def radii(self, queries: np.ndarray) -> np.ndarray:
-        queries = _as_query_matrix(queries, self.calibration_predictors.shape[1])
-        return nearest_neighbors(
-            self._tree,
-            queries,
-            self.k,
-            self._tie_jitter,
-            lambda idx, rows: _row_quantiles(self.calibration_residuals[idx], 1.0 - self.alpha),
-        )
+        return region_radii([self], queries)[0]
 
     def _tie_jitter(self, query: np.ndarray) -> np.ndarray:
         local = rng.point_seed(self.seed, query)
@@ -336,11 +334,7 @@ class ConformalizedHeteroModel:
         return self.base.center_values(queries)
 
     def radii(self, queries: np.ndarray) -> np.ndarray:
-        radii = self.base.radii(queries)
-        # a vacuous (infinite) local radius stays vacuous, whatever the offset
-        finite = np.isfinite(radii)
-        radii[finite] = np.maximum(radii[finite] + self.offset, 0.0)
-        return radii
+        return region_radii([self], queries)[0]
 
 
 def fit_conformalized_hetero(
@@ -363,3 +357,67 @@ def fit_conformalized_hetero(
     scores = residuals - base.radii(conformal.predictors)
     offset = empirical_quantile(scores, 1.0 - alpha)
     return ConformalizedHeteroModel(base, float(offset))
+
+
+# ---------------------------------------------------------------------------
+# radii of several models at once
+
+
+def _same_store(a: HeteroscedasticRegionModel, b: HeteroscedasticRegionModel) -> bool:
+    """Whether two local-radius models have the same neighbour sets and
+    residuals; compared by value, since a loaded bundle holds one copy
+    of the store per model."""
+    return (
+        a.k == b.k
+        and a.seed == b.seed
+        and np.array_equal(a.calibration_predictors, b.calibration_predictors)
+        and np.array_equal(a.calibration_residuals, b.calibration_residuals)
+    )
+
+
+def _shared_search_radii(store: HeteroscedasticRegionModel, levels, queries) -> np.ndarray:
+    """(rows, len(levels)) local radii from one neighbour search of
+    ``store``: per level, the order statistic of the neighbour residuals."""
+
+    def quantiles(idx, rows):
+        res = store.calibration_residuals[idx]
+        return np.stack([_row_quantiles(res, level) for level in levels], axis=1)
+
+    q = _as_query_matrix(queries, store.calibration_predictors.shape[1])
+    return nearest_neighbors(store._tree, q, store.k, store._tie_jitter, quantiles)
+
+
+def region_radii(models: Sequence, queries: np.ndarray) -> list[np.ndarray]:
+    """The (rows,) radii of every model at ``queries``, in ``models`` order.
+
+    Local-radius models (heteroscedastic, or conformalized over such a
+    base) whose calibration stores match share one neighbour search;
+    each member takes its own ``1 - alpha`` order statistic of the same
+    neighbour residuals, so the radii equal those of separate searches
+    bitwise.  A conformalized member then adds its offset to its finite
+    radii, floored at zero.  Any other model answers ``radii`` itself.
+    No two returned arrays share memory.
+    """
+    out = [None] * len(models)
+    groups = []  # (store, member positions in ``models``)
+    for i, model in enumerate(models):
+        store = model.base if isinstance(model, ConformalizedHeteroModel) else model
+        if not isinstance(store, HeteroscedasticRegionModel):
+            out[i] = model.radii(queries)
+            continue
+        for first, members in groups:
+            if first is store or _same_store(first, store):
+                members.append(i)
+                break
+        else:
+            groups.append((store, [i]))
+    for store, members in groups:
+        radii = _shared_search_radii(store, [1.0 - models[i].alpha for i in members], queries)
+        # one column per member: disjoint views of one block
+        for j, i in enumerate(members):
+            out[i] = radii[:, j]
+            if isinstance(models[i], ConformalizedHeteroModel):
+                # a vacuous (infinite) local radius stays vacuous, whatever the offset
+                finite = np.isfinite(out[i])
+                out[i][finite] = np.maximum(out[i][finite] + models[i].offset, 0.0)
+    return out

@@ -14,7 +14,9 @@ after keys, floats as ``repr``, integers as ``int`` text, the quoted
 strings above for non-finite floats, ``null``/``true``/``false``, and a
 final newline.  These are the bytes ``json.dump(..., indent=1,
 sort_keys=True)`` gives for the same values.  ``write_regions_json``
-writes its rows in blocks of queries straight from the arrays.
+writes its rows in blocks of queries straight from the arrays, and
+formats a centre array that several models share (one fitted mean at
+several alphas) once per block.
 """
 
 from __future__ import annotations
@@ -465,7 +467,8 @@ def write_regions_json(path, queries: np.ndarray, columns: Sequence[RegionColumn
     query's rows in ``columns`` order.  ``queries`` is the (n, p) float
     array the columns were computed at.  Rows are formatted straight
     from the arrays, one block of queries at a time, and each block is
-    written as soon as it is done."""
+    written as soon as it is done; columns holding the same ``centers``
+    object share its formatted text."""
     n = queries.shape[0] if columns else 0
     hole = _encode(_HOLE)
     document = {"format": REGIONS_FORMAT, "version": FORMAT_VERSION, "regions": [_HOLE] if n else []}
@@ -487,13 +490,16 @@ def write_regions_json(path, queries: np.ndarray, columns: Sequence[RegionColumn
         for c in columns
     ]
     separator = ",\n  "  # between the items of the regions list
+    # columns that share one centre array share its text
+    distinct_centers = {id(c.centers): c.centers for c in columns}
     with open(path, "w", newline="") as fh:
         fh.write(head)
         for start in range(0, n, _ROW_BLOCK):
             block = slice(start, min(start + _ROW_BLOCK, n))
             query_rows = _array_rows(queries[block], 3)
+            center_rows = {key: _array_rows(a[block], 4) for key, a in distinct_centers.items()}
             per_model = [
-                (t, _array_rows(c.centers[block], 4), _float_texts(c.radii[block]))
+                (t, center_rows[id(c.centers)], _float_texts(c.radii[block]))
                 for t, c in zip(templates, columns)
             ]
             rows = [

@@ -294,6 +294,64 @@ def test_predict_computes_centres_once_per_distinct_mean(fitted_bundle, tmp_path
     assert rows == [80]
 
 
+_THREE_ALPHA_CONFIG = (
+    "[data]\nscenario = setting1\nn = 240\n\n"
+    "[model]\nalgorithm = hetero-knn\nalpha = 0.2, 0.1, 0.05\nmean_k = 6\nk = 15\n"
+)
+
+
+def test_hetero_knn_fit_computes_calibration_centres_once(tmp_path, monkeypatch):
+    from metricregions.regression import KnnFrechetModel
+
+    rows = []
+    real = KnnFrechetModel.predict_values
+
+    def counting(self, queries):
+        out = real(self, queries)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(KnnFrechetModel, "predict_values", counting)
+    cfg = _write_config(tmp_path / "f.ini", _THREE_ALPHA_CONFIG)
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", tmp_path / "m.json"]) == 0
+    assert rows == [120]  # the calibration half, once for three alphas
+    assert [m.alpha for m in read_models_json(tmp_path / "m.json")] == [0.2, 0.1, 0.05]
+
+
+def test_predict_searches_once_per_calibration_store(tmp_path, monkeypatch):
+    import metricregions.regions as regions
+    import metricregions.regression as regression
+
+    cfg = _write_config(tmp_path / "f.ini", _THREE_ALPHA_CONFIG)
+    bundle, queries = tmp_path / "m.json", tmp_path / "q.csv"
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
+    assert _run(["simulate", "--config", cfg, "--seed", 5, "--out", queries]) == 0
+    searches = []
+    real = regression.nearest_neighbors
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "nearest_neighbors", counting)
+    monkeypatch.setattr(regression, "nearest_neighbors", counting)
+    _predict(tmp_path, bundle, queries)
+    # one search for the centres, one for the radii of all three alphas
+    assert len(searches) == 2
+
+
+def test_out_of_range_alpha_is_config_error(tmp_path, capsys):
+    # alphas past the first are copies of the first fit, so each is checked
+    cfg = _write_config(
+        tmp_path / "f.ini",
+        "[data]\nscenario = setting1\nn = 240\n\n"
+        "[model]\nalgorithm = hetero-knn\nalpha = 0.2, 1.5\nmean_k = 6\nk = 15\n",
+    )
+    assert _run(["fit", "--config", cfg, "--out", tmp_path / "m.json"]) == 2
+    assert "alpha=1.5 outside (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # byte contract: every JSON file equals the stdlib reference encoding
 
@@ -343,6 +401,13 @@ _BYTE_BUNDLES = {
     "homoscedastic-global": (
         "setting3", "algorithm = homoscedastic\nalpha = 0.2, 0.1\nmean = global\n",
     ),
+    # three alphas share one radius search; ceil(11 * 0.99) passes k = 10
+    "hetero-knn-three-alphas": (
+        "setting2", "algorithm = hetero-knn\nalpha = 0.2, 0.1, 0.01\nmean_k = 6\nk = 10\n",
+    ),
+    "conformal-hetero-three-alphas": (
+        "setting1", "algorithm = conformal-hetero\nalpha = 0.2, 0.1, 0.05\nmean_k = 6\nk = 20\n",
+    ),
 }
 
 
@@ -357,7 +422,7 @@ def test_predict_bytes_match_per_row_reference(tmp_path, case):
     assert _run(["simulate", "--config", cfg, "--seed", 9, "--out", queries]) == 0
     got = _predict(tmp_path, bundle, queries)
     assert got == _reference_regions(bundle, queries)
-    if case == "infinite-radii":
+    if case in ("infinite-radii", "hetero-knn-three-alphas"):
         assert b'"radius": "inf"' in got
 
 

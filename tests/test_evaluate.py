@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metricregions import rng
-from metricregions.errors import EmptyEvalSet, MultivariateUnsupported
+from metricregions.errors import EmptyEvalSet, InvalidConfig, MultivariateUnsupported
 from metricregions.evaluate import (
     CoverageCurve,
     conditional_coverage_curve,
@@ -165,6 +165,16 @@ def test_l2_error_stable_under_grid_refinement():
         grid = np.linspace(0, 5, points)
         vals.append(l2_integrated_error(CoverageCurve(grid, 0.8 + 0.1 * np.sin(grid)), 0.2))
     assert abs(vals[0] - vals[1]) < 1e-3
+
+
+@pytest.mark.parametrize("grid_points", [-1, 0, 1])
+def test_report_rejects_a_curve_of_fewer_than_two_points(grid_points):
+    # a one-point curve integrates to 0 whatever its coverage
+    data = generate(Setting4(), 200, seed=3)
+    with pytest.raises(InvalidConfig, match="at least 2"):
+        evaluate_model(_FixedRadiusModel(0.0), data, grid_points=grid_points)
+    report = evaluate_model(_FixedRadiusModel(0.0), data, grid_points=2)
+    assert report.marginal_coverage == 0.0 and report.l2_error > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from metricregions.regions import (
     fit_hetero_tuned,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
+    region_radii,
     tune_k_marginal,
 )
 from metricregions.regression import (
@@ -447,6 +448,85 @@ def test_tune_coverage_and_radii_match_brute_force(lattice, p):
         assert result.coverage[i] == np.mean(residuals <= expected), k
         tuned = dataclasses.replace(model, k=k).radii(tune_set.predictors)
         assert np.array_equal(tuned, expected), k
+
+
+def _grouped_models(p, lattice):
+    """Models whose radii ``region_radii`` groups: three alphas and two
+    conformal offsets on one store (and a by-value copy of it), the store
+    under another seed and another k, and one homoscedastic model."""
+    g = np.random.default_rng(60 + p)
+    n = 120
+    x = g.integers(0, 4, (n, p)).astype(float) if lattice else g.normal(size=(n, p))
+    data = LabeledDataset(x, x.sum(axis=1) + g.normal(size=n))
+    train, calib = split_dataset(data, SplitConfig(0.5, seed=p))
+    metric = MetricKind.EUCLIDEAN_L2
+    store = fit_heteroscedastic_knn(train, calib, 0.2, 7, MeanSpec("knn", k=5), metric, seed=p)
+    # as a loaded bundle holds it: equal values in arrays of its own
+    copy = dataclasses.replace(
+        store,
+        alpha=0.1,
+        calibration_predictors=store.calibration_predictors.copy(),
+        calibration_residuals=store.calibration_residuals.copy(),
+    )
+    return [
+        store,
+        ConformalizedHeteroModel(dataclasses.replace(store, alpha=0.3), 0.25),
+        dataclasses.replace(store, seed=p + 1),
+        # ceil(8 * 0.95) = 8 passes k = 7: every radius is infinite
+        dataclasses.replace(store, alpha=0.05),
+        fit_homoscedastic(train, calib, 0.2, store.mean, metric),
+        dataclasses.replace(store, k=12),
+        copy,
+        # a large negative offset floors the finite radii at zero
+        ConformalizedHeteroModel(store, -10.0),
+    ]
+
+
+def _oracle_radii(model, queries):
+    if isinstance(model, HomoscedasticRegionModel):
+        return np.full(queries.shape[0], model.calibrated_radius)
+    if isinstance(model, ConformalizedHeteroModel):
+        radii = _brute_radii(model.base, queries, model.base.k)
+        finite = np.isfinite(radii)
+        radii[finite] = np.maximum(radii[finite] + model.offset, 0.0)
+        return radii
+    return _brute_radii(model, queries, model.k)
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+@pytest.mark.parametrize("p", [1, 3])
+def test_region_radii_match_brute_force_and_single_models(lattice, p, monkeypatch):
+    import metricregions.regions as regions
+
+    models = _grouped_models(p, lattice)
+    g = np.random.default_rng(70 + p)
+    queries = g.integers(0, 4, (40, p)).astype(float) if lattice else g.normal(size=(40, p))
+    searches = []
+    real = regions.nearest_neighbors
+
+    def counting(*args, **kwargs):
+        searches.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "nearest_neighbors", counting)
+    got = region_radii(models, queries)
+    # one search for the shared store (the copy included), one for the
+    # other seed and one for the other k
+    assert sorted(searches) == [7, 7, 12]
+    assert np.isinf(got[3]).all() and (got[7] == 0.0).any()
+    for i, model in enumerate(models):
+        assert got[i].shape == (40,), i
+        assert np.array_equal(got[i], _oracle_radii(model, queries)), i
+        assert np.array_equal(got[i], model.radii(queries)), i
+    for i in range(len(models)):
+        for j in range(i):
+            assert not np.shares_memory(got[i], got[j]), (i, j)
+    for r in range(0, 40, 7):
+        one = region_radii(models, queries[r])
+        assert [a.shape for a in one] == [(1,)] * len(models)
+        assert np.array_equal(np.concatenate(one), [a[r] for a in got]), r
+    empty = region_radii(models, np.empty((0, p)))
+    assert [a.shape for a in empty] == [(0,)] * len(models)
 
 
 # ---------------------------------------------------------------------------
