@@ -232,7 +232,10 @@ def nearest_neighbors(tree: cKDTree, queries: np.ndarray, k: int, jitter=None, r
     Distances are ``_sq_distances``.  The tree only proposes k+1
     candidates; a row whose (k+1)-th tree distance lies within
     ``_TIE_SLACK`` of its k-th, or, given ``jitter``, whose first k hold a
-    distance tie, is ordered by a full-row lexsort instead.  Queries run in
+    distance tie, is ordered exactly instead: it sorts only its tie shell,
+    the points within its exact k-th smallest distance, which ascend by
+    index, so a stable lexsort keeps full ties in index order; ``jitter``
+    is called once per such row.  Queries run in
     blocks: ``reduce(idx, rows)`` maps a block's (rows, k) neighbour
     indices and its query row numbers to per-row results, which are
     concatenated; without it the indices themselves are returned.
@@ -259,10 +262,10 @@ def nearest_neighbors(tree: cKDTree, queries: np.ndarray, k: int, jitter=None, r
             d2 = np.take_along_axis(d2, order, axis=-1)
             exact |= (d2[:, 1:] == d2[:, :-1]).any(axis=1)
         for r in np.flatnonzero(exact):
-            keys = [np.arange(n), _sq_distances(points, q[r])]
-            if jitter is not None:
-                keys.insert(1, jitter(q[r]))
-            idx[r] = np.lexsort(keys)[:k]
+            row_d2 = _sq_distances(points, q[r])
+            shell = np.flatnonzero(row_d2 <= np.partition(row_d2, k - 1)[k - 1])
+            keys = (row_d2[shell],) if jitter is None else (jitter(q[r])[shell], row_d2[shell])
+            idx[r] = shell[np.lexsort(keys)[:k]]
         rows = np.arange(start, start + q.shape[0])
         parts.append(idx if reduce is None else reduce(idx, rows))
     return np.concatenate(parts)

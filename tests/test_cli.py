@@ -27,7 +27,7 @@ from metricregions.regression import (
     split_dataset,
     split_three,
 )
-from metricregions.simulate import Setting1, generate, predictor_range
+from metricregions.simulate import Setting1, WassersteinExample, generate, predictor_range
 from metricregions.storage import (
     FORMAT_VERSION,
     MODELS_FORMAT,
@@ -36,6 +36,7 @@ from metricregions.storage import (
     model_to_dict,
     read_models_json,
     read_queries_csv,
+    write_dataset_csv,
     write_models_json,
 )
 
@@ -157,6 +158,38 @@ def test_tie_heavy_bundle_reloads_bitwise(tmp_path):
     (reloaded,) = read_models_json(path)
     assert np.array_equal(reloaded.center_values(queries), model.center_values(queries))
     assert np.array_equal(reloaded.radii(queries), model.radii(queries))
+
+
+def _full_row_kernel(tree, queries, k, jitter=None, reduce=None):
+    # every row ordered over all n points by (direct squared distance,
+    # jitter, index), in one block
+    points, n = tree.data, tree.n
+    idx = np.empty((queries.shape[0], k), dtype=np.intp)
+    for r, q in enumerate(queries):
+        d2 = sum((points[:, j] - q[j]) ** 2 for j in range(points.shape[1]))
+        keys = (np.arange(n), d2) if jitter is None else (np.arange(n), jitter(q), d2)
+        idx[r] = np.lexsort(keys)[:k]
+    return idx if reduce is None else reduce(idx, np.arange(queries.shape[0]))
+
+
+def test_tuned_lattice_fit_matches_full_row_kernel(tmp_path, monkeypatch):
+    import metricregions.regions as regions
+    import metricregions.regression as regression
+
+    # WassersteinExample rows with predictors rounded to a 0.01 lattice:
+    # nearly every neighbour search row takes the kernel's tie fallback
+    data = generate(WassersteinExample(), 300, 8)
+    lattice = LabeledDataset(np.round(data.predictors, 2), data.response_values, data.quantile_grid)
+    write_dataset_csv(tmp_path / "w.csv", lattice)
+    cfg = _write_config(
+        tmp_path / "f.ini",
+        f"[data]\ninput = {tmp_path / 'w.csv'}\n\n[model]\nalgorithm = hetero-tuned\nalpha = 0.1\n",
+    )
+    assert _run(["fit", "--config", cfg, "--seed", 8, "--out", tmp_path / "kernel.json"]) == 0
+    monkeypatch.setattr(regions, "nearest_neighbors", _full_row_kernel)
+    monkeypatch.setattr(regression, "nearest_neighbors", _full_row_kernel)
+    assert _run(["fit", "--config", cfg, "--seed", 8, "--out", tmp_path / "oracle.json"]) == 0
+    assert (tmp_path / "kernel.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
 
 def test_bundle_with_dropped_fields_predicts_the_same(fitted_bundle, tmp_path):

@@ -450,6 +450,38 @@ def test_tune_coverage_and_radii_match_brute_force(lattice, p):
         assert np.array_equal(tuned, expected), k
 
 
+def test_tuned_fit_draws_one_point_seed_per_fallback_row(monkeypatch):
+    # the tie fallback draws one full-row jitter per row, and only there
+    import metricregions.regions as regions
+
+    g = np.random.default_rng(44)
+    x = np.round(g.uniform(0.0, 1.0, 400), 2)
+    data = LabeledDataset(x, x + g.normal(size=400))
+    train, calib = split_dataset(data, SplitConfig(0.5, seed=4))
+    seeds, draws, rows = [], [], []
+    real_seed, real_search = rng.point_seed, regions.nearest_neighbors
+
+    def counting_seed(*args):
+        seeds.append(args)
+        return real_seed(*args)
+
+    def counting_search(tree, queries, k, jitter, reduce):
+        def drawing(query):
+            draws.append(jitter(query))
+            return draws[-1]
+
+        rows.append(queries.shape[0])
+        return real_search(tree, queries, k, drawing, reduce)
+
+    monkeypatch.setattr(rng, "point_seed", counting_seed)
+    monkeypatch.setattr(regions, "nearest_neighbors", counting_search)
+    result = fit_hetero_tuned(train, calib, 0.1, seed=3)
+    # one tuning search over calib; on a 0.01 lattice most rows fall back
+    assert rows == [calib.n]
+    assert calib.n // 2 < len(draws) == len(seeds) <= calib.n
+    assert all(d.shape == (result.model.n_calibration,) for d in draws)
+
+
 def _grouped_models(p, lattice):
     """Models whose radii ``region_radii`` groups: three alphas and two
     conformal offsets on one store (and a by-value copy of it), the store

@@ -480,17 +480,55 @@ def _predictors(lattice, p, n, seed):
     return g.integers(0, 4, (n, p)).astype(float) if lattice else g.normal(size=(n, p))
 
 
+def _kernel_layouts(lattice, p):
+    """(points, queries) pairs; every query set ends with data points, so
+    those rows have a k-th distance of 0 at small k."""
+    if not lattice:
+        points = _predictors(False, p, 40, seed=p)
+        yield points, np.vstack([_predictors(False, p, 25, seed=p + 10), points[:5]])
+        return
+    points = _predictors(True, p, 40, seed=p)
+    yield points, np.vstack([_predictors(True, p, 25, seed=p + 10), points[:5]])
+    # a 0.01 lattice: at small k a row's tie shell is a small part of n
+    g = np.random.default_rng(p + 40)
+    points = np.round(g.uniform(0.0, 1.0, (400, p)), 2)
+    yield points, np.vstack([np.round(g.uniform(0.0, 1.0, (20, p)), 2), points[:5]])
+    # all-equal predictors: every row's tie shell is all n points
+    points = np.full((30, p), 0.25)
+    yield points, np.vstack([_predictors(False, p, 5, seed=p), points[:2]])
+
+
 @pytest.mark.parametrize("lattice", [True, False])
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("with_jitter", [False, True])
 def test_kernel_matches_direct_distance_lexsort(lattice, p, with_jitter):
-    n = 40
-    points = _predictors(lattice, p, n, seed=p)
-    queries = _predictors(lattice, p, 25, seed=p + 10)
-    jitter = (lambda q: rng.stream(rng.point_seed(5, q)).random(n)) if with_jitter else None
+    for points, queries in _kernel_layouts(lattice, p):
+        n = points.shape[0]
+        jitter = (lambda q: rng.stream(rng.point_seed(5, q)).random(n)) if with_jitter else None
+        tree = cKDTree(points)
+        for k in (1, 3, n // 2, n - 1, n):
+            got = nearest_neighbors(tree, queries, k, jitter)
+            assert np.array_equal(got, _brute_neighbors(points, queries, k, jitter)), (n, k)
+
+
+def test_kernel_calls_jitter_once_per_fallback_row():
+    # points 0..9; the query 0.5 ties points 0 and 1, so it falls back at
+    # k = 1 (1st and 2nd distances agree) and at k = 2 (a tie inside the
+    # first k, which only matters given a jitter); the query 1.0 ties
+    # points 0 and 2 in 2nd place, so it falls back at k = 2 only
+    points = np.arange(10.0)[:, None]
+    queries = np.array([[0.5], [0.3], [1.0], [7.2], [9.0]])
+    seen = []
+
+    def jitter(q):
+        seen.append(float(q[0]))
+        return rng.stream(rng.point_seed(5, q)).random(10)
+
     tree = cKDTree(points)
-    for k in (1, n // 2, n - 1, n):
+    for k, fallback in ((1, [0.5]), (2, [0.5, 1.0])):
+        seen.clear()
         got = nearest_neighbors(tree, queries, k, jitter)
+        assert seen == fallback, k
         assert np.array_equal(got, _brute_neighbors(points, queries, k, jitter)), k
 
 
