@@ -224,6 +224,31 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _first_k(tree: cKDTree, q: np.ndarray, k: int, jitter) -> np.ndarray:
+    """The (rows, k) neighbour indices that ``nearest_neighbors`` gives
+    the query rows ``q``; its search temporaries are freed on return,
+    before the indices are expanded to a block's rows and reduced."""
+    n, points = tree.n, tree.data
+    if k < n:
+        dist, cand = tree.query(q, k + 1)
+        exact = dist[:, k] <= dist[:, k - 1] * (1.0 + _TIE_SLACK)
+    else:
+        cand = np.broadcast_to(np.arange(n), (q.shape[0], n))
+        exact = np.zeros(q.shape[0], dtype=bool)
+    d2 = _sq_distances(points[cand], q[:, None, :])
+    order = np.lexsort((cand, d2), axis=-1)[:, :k]
+    idx = np.take_along_axis(cand, order, axis=-1)
+    if jitter is not None:
+        d2 = np.take_along_axis(d2, order, axis=-1)
+        exact |= (d2[:, 1:] == d2[:, :-1]).any(axis=1)
+    for r in np.flatnonzero(exact):
+        row_d2 = _sq_distances(points, q[r])
+        shell = np.flatnonzero(row_d2 <= np.partition(row_d2, k - 1)[k - 1])
+        keys = (row_d2[shell],) if jitter is None else (jitter(q[r])[shell], row_d2[shell])
+        idx[r] = shell[np.lexsort(keys)[:k]]
+    return idx
+
+
 def nearest_neighbors(tree: cKDTree, queries: np.ndarray, k: int, jitter=None, reduce=None):
     """Per query row, the first ``k`` tree points in the total order
     (squared distance, ``jitter(query)[point]``, point index), in that
@@ -234,39 +259,28 @@ def nearest_neighbors(tree: cKDTree, queries: np.ndarray, k: int, jitter=None, r
     ``_TIE_SLACK`` of its k-th, or, given ``jitter``, whose first k hold a
     distance tie, is ordered exactly instead: it sorts only its tie shell,
     the points within its exact k-th smallest distance, which ascend by
-    index, so a stable lexsort keeps full ties in index order; ``jitter``
-    is called once per such row.  Queries run in
-    blocks: ``reduce(idx, rows)`` maps a block's (rows, k) neighbour
-    indices and its query row numbers to per-row results, which are
-    concatenated; without it the indices themselves are returned.
+    index, so a stable lexsort keeps full ties in index order.  Queries
+    run in blocks, and each distinct row of a block, keyed on its float64
+    bytes, is searched once, since its order depends only on those bytes:
+    equal rows share one result, and ``jitter`` is called once per
+    distinct row that falls back.  ``reduce(idx, rows)`` maps a block's
+    (rows, k) neighbour indices and its query row numbers to per-row
+    results, which are concatenated; without it the indices themselves
+    are returned.
     """
     n = tree.n
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} outside 1..{n}")
-    points = tree.data
     step = max(1, _BLOCK_PAIRS // (k + 1))
     parts = []
     # no queries still make one (empty) block, so the result has its shape
     for start in range(0, max(queries.shape[0], 1), step):
-        q = queries[start : start + step]
-        if k < n:
-            dist, cand = tree.query(q, k + 1)
-            exact = dist[:, k] <= dist[:, k - 1] * (1.0 + _TIE_SLACK)
-        else:
-            cand = np.broadcast_to(np.arange(n), (q.shape[0], n))
-            exact = np.zeros(q.shape[0], dtype=bool)
-        d2 = _sq_distances(points[cand], q[:, None, :])
-        order = np.lexsort((cand, d2), axis=-1)[:, :k]
-        idx = np.take_along_axis(cand, order, axis=-1)
-        if jitter is not None:
-            d2 = np.take_along_axis(d2, order, axis=-1)
-            exact |= (d2[:, 1:] == d2[:, :-1]).any(axis=1)
-        for r in np.flatnonzero(exact):
-            row_d2 = _sq_distances(points, q[r])
-            shell = np.flatnonzero(row_d2 <= np.partition(row_d2, k - 1)[k - 1])
-            keys = (row_d2[shell],) if jitter is None else (jitter(q[r])[shell], row_d2[shell])
-            idx[r] = shell[np.lexsort(keys)[:k]]
-        rows = np.arange(start, start + q.shape[0])
+        block = np.ascontiguousarray(queries[start : start + step])
+        # one void scalar per row: rows are equal keys when their bytes are
+        row_bytes = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))
+        _, first, inverse = np.unique(row_bytes.ravel(), return_index=True, return_inverse=True)
+        idx = _first_k(tree, block[first], k, jitter)[inverse]
+        rows = np.arange(start, start + block.shape[0])
         parts.append(idx if reduce is None else reduce(idx, rows))
     return np.concatenate(parts)
 
@@ -336,7 +350,7 @@ def fit_knn_frechet(
 
 
 def _as_query_matrix(queries: np.ndarray, p: int | None) -> np.ndarray:
-    """Queries as a (rows, p) matrix; ``p=None`` accepts any width."""
+    """Queries as a finite (rows, p) matrix; ``p=None`` accepts any width."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 0:
         q = q[None, None]
@@ -345,6 +359,8 @@ def _as_query_matrix(queries: np.ndarray, p: int | None) -> np.ndarray:
         q = q[None, :] if q.size == p and p > 1 else q[:, None]
     if p is not None and q.shape[1] != p:
         raise DimensionMismatch(f"queries have {q.shape[1]} coordinates, expected {p}")
+    if not np.isfinite(q).all():
+        raise InvalidDataset("queries contain non-finite entries")
     return q
 
 

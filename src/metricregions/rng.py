@@ -46,8 +46,10 @@ def point_seed(seed: int, x: np.ndarray) -> int:
     """Seed for query-local tie breaking: ``seed XOR hash(coords)``.
 
     Hashing the little-endian float64 bytes of the query keeps the
-    result independent of batch composition and platform.
+    result independent of batch composition and platform.  The bytes are
+    those of ``coords + 0.0``, which maps ``-0.0`` to ``0.0``, so equal
+    coordinates hash equal.
     """
-    coords = np.ascontiguousarray(np.asarray(x).ravel().astype("<f8"))
+    coords = (np.asarray(x, dtype=np.float64).ravel() + 0.0).astype("<f8")
     digest = hashlib.blake2b(coords.tobytes(), digest_size=8).digest()
     return (int(seed) ^ int.from_bytes(digest, "little")) & _MASK64

@@ -148,8 +148,8 @@ def read_dataset_csv(path) -> LabeledDataset:
 
 
 def read_queries_csv(path) -> np.ndarray:
-    """Predictor rows from a CSV with x_1..x_p columns; any response
-    columns present (a full dataset file) are ignored."""
+    """Finite predictor rows from a CSV with x_1..x_p columns; any
+    response columns present (a full dataset file) are ignored."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -163,7 +163,12 @@ def read_queries_csv(path) -> np.ndarray:
             raise SchemaError("header row: first column must be 'x_1'")
         if len(header) > p:
             _parse_header(header)  # anything after the predictors must be a valid response block
-        return _parse_cells(reader, header, p)
+        table = _parse_cells(reader, header, p)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise SchemaError(f"row {i + 2}, column {header[j]!r}: {table[i, j]} is not finite")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import metricregions
 from metricregions import rng
 from metricregions.cli import main
+from metricregions.errors import SchemaError
 from metricregions.metrics import MetricKind
 from metricregions.regions import (
     fit_conformalized_hetero,
@@ -573,6 +574,23 @@ def test_malformed_query_file_names_row_and_column(fitted_bundle, tmp_path, caps
         assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
         err = capsys.readouterr().err
         assert message in err
+
+
+def test_non_finite_query_file_is_data_error(fitted_bundle, tmp_path, capsys):
+    _, bundle = fitted_bundle
+    bad = tmp_path / "q.csv"
+    cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bundle}\nqueries = {bad}\n")
+    for text, message in (
+        ("x_1\n0.5\nnan\n", "row 3, column 'x_1': nan is not finite"),
+        ("x_1,x_2\n0.5,1.0\n1.5,-inf\n", "row 3, column 'x_2': -inf is not finite"),
+        ("x_1,y_1\ninf,nan\n", "row 2, column 'x_1': inf is not finite"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            read_queries_csv(bad)
+        assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_algorithm_is_config_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 import metricregions
 from metricregions import rng
-from metricregions.errors import EmptyValues, InvalidConfig, KTooLarge
+from metricregions.errors import EmptyValues, InvalidConfig, InvalidDataset, KTooLarge
 from metricregions.evaluate import coverage_indicators, evaluate_model
 from metricregions.metrics import EuclideanVector, MetricKind, QuantileFunction
 from metricregions.regions import (
@@ -450,15 +450,15 @@ def test_tune_coverage_and_radii_match_brute_force(lattice, p):
         assert np.array_equal(tuned, expected), k
 
 
-def test_tuned_fit_draws_one_point_seed_per_fallback_row(monkeypatch):
-    # the tie fallback draws one full-row jitter per row, and only there
+def test_tuned_fit_draws_one_point_seed_per_distinct_fallback_query(monkeypatch):
+    # the tie fallback draws one full-row jitter per distinct query, and only there
     import metricregions.regions as regions
 
     g = np.random.default_rng(44)
     x = np.round(g.uniform(0.0, 1.0, 400), 2)
     data = LabeledDataset(x, x + g.normal(size=400))
     train, calib = split_dataset(data, SplitConfig(0.5, seed=4))
-    seeds, draws, rows = [], [], []
+    seeds, draws, searches = [], [], []
     real_seed, real_search = rng.point_seed, regions.nearest_neighbors
 
     def counting_seed(*args):
@@ -467,19 +467,68 @@ def test_tuned_fit_draws_one_point_seed_per_fallback_row(monkeypatch):
 
     def counting_search(tree, queries, k, jitter, reduce):
         def drawing(query):
-            draws.append(jitter(query))
-            return draws[-1]
+            draws.append((float(query[0]), jitter(query)))
+            return draws[-1][1]
 
-        rows.append(queries.shape[0])
+        searches.append((tree, queries.shape[0], k, jitter))
         return real_search(tree, queries, k, drawing, reduce)
 
     monkeypatch.setattr(rng, "point_seed", counting_seed)
     monkeypatch.setattr(regions, "nearest_neighbors", counting_search)
     result = fit_hetero_tuned(train, calib, 0.1, seed=3)
-    # one tuning search over calib; on a 0.01 lattice most rows fall back
-    assert rows == [calib.n]
-    assert calib.n // 2 < len(draws) == len(seeds) <= calib.n
-    assert all(d.shape == (result.model.n_calibration,) for d in draws)
+    # one tuning search over calib
+    [(tree, rows, k, jitter)] = searches
+    assert rows == calib.n
+    assert len(draws) == len(seeds)
+    assert all(d.shape == (result.model.n_calibration,) for _, d in draws)
+    # the drawn queries are the distinct calibration values that fall
+    # back when searched alone, each drawn once
+    falls_back = []
+    for value in np.unique(calib.predictors[:, 0]):
+        calls = []
+        real_search(tree, np.array([[value]]), k, lambda q: calls.append(q) or jitter(q))
+        if calls:
+            falls_back.append(value)
+    assert sorted(v for v, _ in draws) == falls_back
+    # on a 0.01 lattice most rows fall back, far more rows than draws
+    fallback_rows = np.isin(calib.predictors[:, 0], falls_back).sum()
+    assert calib.n // 2 < fallback_rows and len(draws) < fallback_rows
+
+
+def test_signed_zero_queries_get_equal_radii():
+    # -0.0 and 0.0 are the same point: the same distances and tie jitter
+    assert rng.point_seed(7, np.array([-0.0, 1.0])) == rng.point_seed(7, np.array([0.0, 1.0]))
+    g = np.random.default_rng(45)
+    x = np.round(g.uniform(-1.0, 1.0, 400), 1)
+    data = LabeledDataset(x, x + g.normal(size=400))
+    train, calib = split_dataset(data, SplitConfig(0.5, seed=5))
+    for seed in range(5):
+        model = fit_heteroscedastic_knn(
+            train, calib, 0.2, 30, MeanSpec("knn", k=5), MetricKind.EUCLIDEAN_L2, seed=seed
+        )
+        queries = np.array([[0.0], [-0.0]])
+        radii, centers = model.radii(queries), model.center_values(queries)
+        assert radii[0] == radii[1] and np.array_equal(centers[0], centers[1]), seed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_region_models_reject_non_finite_queries(bad):
+    g = np.random.default_rng(46)
+    data = _scalar_dataset(g, 90)
+    train, calib, conformal = split_three(data, 0.4, 0.3, seed=6)
+    mean, metric = MeanSpec("knn", k=5), MetricKind.EUCLIDEAN_L2
+    models = (
+        fit_homoscedastic(train, calib, 0.2, mean, metric),
+        fit_heteroscedastic_knn(train, calib, 0.2, 10, mean, metric),
+        fit_conformalized_hetero(train, calib, conformal, 0.2, 10, mean, metric),
+    )
+    queries = np.array([[1.0], [bad]])
+    for model in models:
+        for answer in (model.radii, model.center_values):
+            with pytest.raises(InvalidDataset, match="queries contain non-finite entries"):
+                answer(queries)
+    with pytest.raises(InvalidDataset, match="queries contain non-finite entries"):
+        region_radii(models, queries)
 
 
 def _grouped_models(p, lattice):

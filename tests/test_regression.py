@@ -454,6 +454,20 @@ def test_constant_mean_predicts_same_point_everywhere():
     assert np.array_equal(out, np.array([[2.0, 7.0]] * 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_means_reject_non_finite_queries(bad):
+    x = np.linspace(0.0, 1.0, 20)
+    data = LabeledDataset(x, 2.0 * x)
+    models = (
+        fit_knn_frechet(data, 3, MetricKind.EUCLIDEAN_L2),
+        fit_global_frechet(data, MetricKind.EUCLIDEAN_L2),
+        ConstantMean(EuclideanVector([1.0])),
+    )
+    for model in models:
+        with pytest.raises(InvalidDataset, match="queries contain non-finite entries"):
+            model.predict_values(np.array([[0.5], [bad]]))
+
+
 # ---------------------------------------------------------------------------
 # neighbor kernel against brute force
 
@@ -530,6 +544,13 @@ def test_kernel_calls_jitter_once_per_fallback_row():
         got = nearest_neighbors(tree, queries, k, jitter)
         assert seen == fallback, k
         assert np.array_equal(got, _brute_neighbors(points, queries, k, jitter)), k
+    # a repeated tied query is one distinct row: its jitter is drawn once
+    repeated = np.vstack([queries, [[0.5], [1.0], [0.5]]])
+    for k, fallback in ((1, [0.5]), (2, [0.5, 1.0])):
+        seen.clear()
+        got = nearest_neighbors(tree, repeated, k, jitter)
+        assert sorted(seen) == fallback, k
+        assert np.array_equal(got, _brute_neighbors(points, repeated, k, jitter)), k
 
 
 def test_kernel_reduce_sees_blocks_and_row_numbers(monkeypatch):
@@ -554,6 +575,77 @@ def test_kernel_reduce_sees_blocks_and_row_numbers(monkeypatch):
         nearest_neighbors(cKDTree(points), queries, 31)
 
 
+def _repeated_lattice_rows(g, distinct, n, p):
+    """``n`` rows drawn at random from ``distinct`` 0.25-lattice rows,
+    with about half of their zero coordinates written as ``-0.0``."""
+    values = np.round(g.uniform(-1.0, 1.0, (distinct, p)) * 4) / 4
+    rows = values[g.integers(0, distinct, n)]
+    flip = (rows == 0.0) & (g.random(rows.shape) < 0.5)
+    rows[flip] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("block_pairs", [40, 1 << 20], ids=["small-blocks", "one-block"])
+@pytest.mark.parametrize("with_reduce", [False, True])
+@pytest.mark.parametrize("with_jitter", [False, True])
+def test_kernel_matches_brute_force_on_repeated_rows(monkeypatch, block_pairs, with_reduce, with_jitter):
+    import metricregions.regression as regression
+
+    # small blocks cut runs of equal rows across block boundaries
+    monkeypatch.setattr(regression, "_BLOCK_PAIRS", block_pairs)
+    g = np.random.default_rng(70)
+    points = _repeated_lattice_rows(g, 12, 40, 2)
+    queries = np.vstack([_repeated_lattice_rows(g, 8, 45, 2), [[0.0, 0.0], [-0.0, -0.0]]])
+    assert (np.signbit(queries) & (queries == 0.0)).any()
+    n = points.shape[0]
+    jitter = (lambda q: rng.stream(rng.point_seed(5, q)).random(n)) if with_jitter else None
+    reduce = (lambda idx, rows: np.c_[rows, idx]) if with_reduce else None
+    tree = cKDTree(points)
+    for k in (1, 3, n - 1, n):
+        got = nearest_neighbors(tree, queries, k, jitter, reduce)
+        empty = nearest_neighbors(tree, queries[:0], k, jitter, reduce)
+        if with_reduce:
+            assert np.array_equal(got[:, 0], np.arange(queries.shape[0])), k
+            got = got[:, 1:]
+            assert empty.shape == (0, k + 1), k
+        else:
+            assert empty.shape == (0, k), k
+        assert np.array_equal(got, _brute_neighbors(points, queries, k, jitter)), k
+        # +0.0 and -0.0 are the same query
+        assert np.array_equal(got[-1], got[-2]), k
+
+
+class _CountingTree:
+    """A KD-tree that records the rows of every query it answers."""
+
+    def __init__(self, points):
+        self._tree = cKDTree(points)
+        self.n, self.data = self._tree.n, self._tree.data
+        self.queried = []
+
+    def query(self, q, k):
+        self.queried.append(q.copy())
+        return self._tree.query(q, k)
+
+
+def test_kernel_queries_each_distinct_row_once_per_block(monkeypatch):
+    import metricregions.regression as regression
+
+    k = 4
+    monkeypatch.setattr(regression, "_BLOCK_PAIRS", 100 * (k + 1))  # blocks of 100 rows
+    g = np.random.default_rng(71)
+    points = np.round(g.uniform(0.0, 1.0, (60, 2)), 1)
+    queries = np.round(g.uniform(0.0, 1.0, (40, 2)), 1)[g.integers(0, 40, 400)]
+    tree = _CountingTree(points)
+    got = nearest_neighbors(tree, queries, k)
+    assert np.array_equal(got, _brute_neighbors(points, queries, k))
+    assert len(tree.queried) == 4
+    for start, seen in zip(range(0, 400, 100), tree.queried):
+        distinct = np.unique(queries[start : start + 100], axis=0)
+        assert len(seen) == len(distinct) < 100
+        assert np.array_equal(np.unique(seen, axis=0), distinct)
+
+
 def _brute_loo_scores(data, grid, qw=None):
     X, Y = data.predictors, data.response_values
     scores = np.empty((data.n, len(grid)))
@@ -576,6 +668,20 @@ def test_loo_scores_match_brute_force(lattice, p):
     g = np.random.default_rng(p + 20)
     data = LabeledDataset(_predictors(lattice, p, n, seed=p + 30), g.normal(size=(n, 2)))
     grid = (1, n // 2, n - 1)
+    sel = loo_select_k(data, MetricKind.EUCLIDEAN_L2, grid)
+    np.testing.assert_allclose(sel.scores, _brute_loo_scores(data, grid), rtol=1e-12, atol=1e-15)
+
+
+def test_loo_scores_match_brute_force_on_many_copies_of_a_row(monkeypatch):
+    import metricregions.regression as regression
+
+    # blocks of seven rows at k = max_k + 1 = 4; 15 copies of one row
+    # exceed 4, so most copies are not among their own first four neighbours
+    monkeypatch.setattr(regression, "_BLOCK_PAIRS", 7 * 5)
+    g = np.random.default_rng(72)
+    x = np.concatenate([np.full(15, 0.5), np.round(g.uniform(0.0, 1.0, 25), 1)])
+    data = LabeledDataset(g.permutation(x), g.normal(size=(40, 2)))
+    grid = (1, 2, 3)
     sel = loo_select_k(data, MetricKind.EUCLIDEAN_L2, grid)
     np.testing.assert_allclose(sel.scores, _brute_loo_scores(data, grid), rtol=1e-12, atol=1e-15)
 
