@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedScenario,
     VersionMismatch,
 )
-from .evaluate import evaluate_model
+from .evaluate import evaluate_models
 from .metrics import MetricKind
 from .regions import (
     _validate_alpha,
@@ -389,16 +389,6 @@ def _curve_settings(cfg: _Config, section: str) -> tuple[int, int]:
     return grid_points, mc_draws
 
 
-def _evaluate_models(models, eval_set, grid_points, spec, mc_draws, seed) -> list:
-    return [
-        evaluate_model(
-            model, eval_set, grid_points=grid_points, spec=spec, mc_draws=mc_draws,
-            seed=rng.derive_seed(seed, "mc", i),
-        )
-        for i, model in enumerate(models)
-    ]
-
-
 def _cmd_evaluate(cfg: _Config, args) -> None:
     seed = _base_seed(cfg, args)
     grid_points, mc_draws = _curve_settings(cfg, "evaluate")
@@ -412,7 +402,8 @@ def _cmd_evaluate(cfg: _Config, args) -> None:
         raise InvalidConfig("[evaluate]: need 'eval_input' or a [data] scenario with 'eval_n'")
     rows = []
     curves = {}
-    for report in _evaluate_models(models, eval_set, grid_points, spec, mc_draws, seed):
+    mc_seeds = [rng.derive_seed(seed, "mc", i) for i in range(len(models))]
+    for report in evaluate_models(models, eval_set, grid_points, spec, mc_draws, mc_seeds):
         rows.append(_report_row(report))
         if report.curve is not None:
             curves[f"alpha_{report.alpha}"] = report.curve.values
@@ -450,7 +441,8 @@ def _cmd_replicate(cfg: _Config, args) -> None:
             data = generate(spec, n, rep_seed)
             models = _fit_models(cfg, data, rep_seed)
             eval_set = generate(spec, eval_n, rng.derive_seed(rep_seed, "eval"))
-            return _evaluate_models(models, eval_set, grid_points, spec, mc_draws, rep_seed)
+            mc_seeds = [rng.derive_seed(rep_seed, "mc", i) for i in range(len(models))]
+            return evaluate_models(models, eval_set, grid_points, spec, mc_draws, mc_seeds)
         except MetricRegionsError as exc:
             raise type(exc)(f"replicate {b}: {exc}") from exc
 

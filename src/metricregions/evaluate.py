@@ -7,18 +7,26 @@ coverage indicators against a scalar predictor with a Gaussian kernel
 deviation from the nominal level.  When the generating scenario is
 known, the symmetric-difference error measures the probability mass on
 which the estimated and oracle regions disagree.
+
+``evaluate_models`` scores a whole bundle in one pass over an
+evaluation set: it computes centres once per distinct mean, residuals
+once per (mean, region metric), radii through one neighbour search per
+calibration store, and the smoothing kernel once, which every alpha's
+indicators then reuse.  Nothing is kept between calls.  Each model's
+report equals the one it would get evaluated on its own, bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
 from .errors import EmptyEvalSet, InvalidConfig, MultivariateUnsupported
 from .metrics import rowwise_distance
+from .regions import region_radii
 from .regression import LabeledDataset
 from .simulate import ScenarioSpec, generate, oracle_contains, predictor_range
 
@@ -33,6 +41,7 @@ __all__ = [
     "l2_integrated_error",
     "symmetric_difference_error",
     "evaluate_model",
+    "evaluate_models",
 ]
 
 
@@ -54,15 +63,37 @@ class CoverageReport:
     region_error: Optional[float] = None
 
 
-def coverage_indicators(model, eval_set: LabeledDataset) -> np.ndarray:
-    """Boolean row-wise membership of evaluation responses in their regions."""
+def _bundle_indicators(models: Sequence, eval_set: LabeledDataset) -> list[np.ndarray]:
+    """Boolean row-wise membership of the evaluation responses in every
+    model's regions, in ``models`` order.  Models holding the same mean
+    object share its centres, and those that also share a region metric
+    share the residuals; local-radius models share neighbour searches
+    as in ``region_radii``."""
     if eval_set.n < 1:
         raise EmptyEvalSet("evaluation set is empty")
-    centers = model.center_values(eval_set.predictors)
-    resid = rowwise_distance(
-        model.region_metric, eval_set.response_values, centers, eval_set.quantile_grid
-    )
-    return resid <= model.radii(eval_set.predictors)
+    x = eval_set.predictors
+    shared = []  # (mean, its centres, its residuals by region metric)
+    out = []
+    for model, radii in zip(models, region_radii(models, x)):
+        # means are matched by identity; a model without one is its own
+        # centre rule
+        mean = getattr(model, "mean", model)
+        entry = next((e for e in shared if e[0] is mean), None)
+        if entry is None:
+            entry = (mean, model.center_values(x), {})
+            shared.append(entry)
+        _, centers, residuals = entry
+        if model.region_metric not in residuals:
+            residuals[model.region_metric] = rowwise_distance(
+                model.region_metric, eval_set.response_values, centers, eval_set.quantile_grid
+            )
+        out.append(residuals[model.region_metric] <= radii)
+    return out
+
+
+def coverage_indicators(model, eval_set: LabeledDataset) -> np.ndarray:
+    """Boolean row-wise membership of evaluation responses in their regions."""
+    return _bundle_indicators([model], eval_set)[0]
 
 
 def marginal_coverage(model, eval_set: LabeledDataset) -> float:
@@ -81,25 +112,37 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * min(spread_candidates) * n ** (-0.2)
 
 
-def smooth_indicators(x: np.ndarray, indicators: np.ndarray, x_grid: np.ndarray) -> CoverageCurve:
-    """Nadaraya-Watson smoothing of 0/1 indicators at Silverman's
-    bandwidth, clipped to [0, 1]."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    ind = np.asarray(indicators, dtype=np.float64).ravel()
-    x_grid = np.asarray(x_grid, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise EmptyEvalSet("no indicators to smooth")
+def _kernel(x: np.ndarray, x_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (grid, n) Gaussian weights at Silverman's bandwidth and their
+    row sums, which every smoothing over the predictors ``x`` reuses."""
     h = silverman_bandwidth(x)
     u = (x_grid[:, None] - x[None, :]) / h
     weights = np.exp(-0.5 * np.square(u))
     # same reduction path for both sums so constant indicators smooth to
     # exactly that constant
-    denom = weights @ np.ones_like(ind)
+    return weights, weights @ np.ones(x.size)
+
+
+def _smooth(kernel: tuple[np.ndarray, np.ndarray], indicators, x_grid: np.ndarray) -> CoverageCurve:
+    """Nadaraya-Watson smoothing of ``indicators`` with a ``_kernel``
+    built on ``x_grid``, clipped to [0, 1]."""
+    weights, denom = kernel
+    ind = np.asarray(indicators, dtype=np.float64).ravel()
     numer = weights @ ind
     values = np.full(x_grid.size, ind.mean())
     ok = denom > 0.0  # kernel can underflow to zero far from the data
     values[ok] = numer[ok] / denom[ok]
     return CoverageCurve(x_grid, np.clip(values, 0.0, 1.0))
+
+
+def smooth_indicators(x: np.ndarray, indicators: np.ndarray, x_grid: np.ndarray) -> CoverageCurve:
+    """Nadaraya-Watson smoothing of 0/1 indicators at Silverman's
+    bandwidth, clipped to [0, 1]."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    x_grid = np.asarray(x_grid, dtype=np.float64).ravel()
+    if x.size == 0:
+        raise EmptyEvalSet("no indicators to smooth")
+    return _smooth(_kernel(x, x_grid), indicators, x_grid)
 
 
 def conditional_coverage_curve(
@@ -158,25 +201,59 @@ def evaluate_model(
     region error when a generating scenario is supplied and
     ``mc_draws > 0``.  The curve's ``grid_points`` span the scenario's
     predictor range, or the evaluation predictors without a scenario."""
+    return evaluate_models([model], eval_set, grid_points, spec, mc_draws, seeds=[seed])[0]
+
+
+def evaluate_models(
+    models: Sequence,
+    eval_set: LabeledDataset,
+    grid_points: int = 101,
+    spec: Optional[ScenarioSpec] = None,
+    mc_draws: int = 0,
+    seeds: Optional[Sequence[int]] = None,
+) -> list[CoverageReport]:
+    """The ``evaluate_model`` report of every model, in ``models`` order,
+    from one pass over ``eval_set``.
+
+    ``seeds`` holds each model's Monte Carlo seed (0 for every model
+    when omitted); the region-error draws are each model's own.
+    Everything else is shared where the models allow it: centres,
+    residuals, neighbour searches and the smoothing kernel.
+    """
     # the integrated error of a one-point curve is 0 whatever its coverage
     if grid_points < 2:
         raise InvalidConfig(f"grid_points={grid_points}: must be at least 2")
-    ind = coverage_indicators(model, eval_set)
-    curve = None
-    l2 = None
+    models = list(models)
+    seeds = [0] * len(models) if seeds is None else list(seeds)
+    if len(seeds) != len(models):
+        raise InvalidConfig(f"{len(seeds)} Monte Carlo seeds for {len(models)} models")
+    if eval_set.n < 1:
+        raise EmptyEvalSet("evaluation set is empty")
+    kernel = None
     if eval_set.p == 1:
         xs = eval_set.predictors[:, 0]
         lo, hi = predictor_range(spec) if spec is not None else (float(xs.min()), float(xs.max()))
-        curve = smooth_indicators(xs, ind, np.linspace(lo, hi, grid_points))
-        l2 = l2_integrated_error(curve, model.alpha)
-    region_error = None
-    if spec is not None and mc_draws > 0:
-        region_error = symmetric_difference_error(model, spec, mc_draws=mc_draws, seed=seed)
-    return CoverageReport(
-        alpha=float(model.alpha),
-        n_eval=eval_set.n,
-        marginal_coverage=float(ind.mean()),
-        curve=curve,
-        l2_error=l2,
-        region_error=region_error,
-    )
+        x_grid = np.linspace(lo, hi, grid_points)
+        # built before the searches, so the (grid, n) temporaries of its
+        # construction do not stack on the memory the searches leave behind
+        kernel = _kernel(xs, x_grid)
+    indicators = _bundle_indicators(models, eval_set)
+    # each report owns its grid
+    curves = [None if kernel is None else _smooth(kernel, ind, x_grid.copy()) for ind in indicators]
+    del kernel  # not held through the Monte Carlo draws
+    reports = []
+    for model, ind, curve, seed in zip(models, indicators, curves, seeds):
+        region_error = None
+        if spec is not None and mc_draws > 0:
+            region_error = symmetric_difference_error(model, spec, mc_draws=mc_draws, seed=seed)
+        reports.append(
+            CoverageReport(
+                alpha=float(model.alpha),
+                n_eval=eval_set.n,
+                marginal_coverage=float(ind.mean()),
+                curve=curve,
+                l2_error=None if curve is None else l2_integrated_error(curve, model.alpha),
+                region_error=region_error,
+            )
+        )
+    return reports

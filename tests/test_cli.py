@@ -352,14 +352,11 @@ def test_hetero_knn_fit_computes_calibration_centres_once(tmp_path, monkeypatch)
     assert [m.alpha for m in read_models_json(tmp_path / "m.json")] == [0.2, 0.1, 0.05]
 
 
-def test_predict_searches_once_per_calibration_store(tmp_path, monkeypatch):
+def _count_searches(monkeypatch) -> list:
+    """A list that gains one entry per ``nearest_neighbors`` call."""
     import metricregions.regions as regions
     import metricregions.regression as regression
 
-    cfg = _write_config(tmp_path / "f.ini", _THREE_ALPHA_CONFIG)
-    bundle, queries = tmp_path / "m.json", tmp_path / "q.csv"
-    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
-    assert _run(["simulate", "--config", cfg, "--seed", 5, "--out", queries]) == 0
     searches = []
     real = regression.nearest_neighbors
 
@@ -369,7 +366,31 @@ def test_predict_searches_once_per_calibration_store(tmp_path, monkeypatch):
 
     monkeypatch.setattr(regions, "nearest_neighbors", counting)
     monkeypatch.setattr(regression, "nearest_neighbors", counting)
+    return searches
+
+
+def test_predict_searches_once_per_calibration_store(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path / "f.ini", _THREE_ALPHA_CONFIG)
+    bundle, queries = tmp_path / "m.json", tmp_path / "q.csv"
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
+    assert _run(["simulate", "--config", cfg, "--seed", 5, "--out", queries]) == 0
+    searches = _count_searches(monkeypatch)
     _predict(tmp_path, bundle, queries)
+    # one search for the centres, one for the radii of all three alphas
+    assert len(searches) == 2
+
+
+@pytest.mark.parametrize("algorithm", ["hetero-knn", "conformal-hetero"])
+def test_evaluate_searches_once_per_mean_and_store(tmp_path, monkeypatch, algorithm):
+    bundle = tmp_path / "m.json"
+    cfg = _write_config(
+        tmp_path / "f.ini",
+        _THREE_ALPHA_CONFIG.replace("hetero-knn", algorithm)
+        + f"\n[evaluate]\nmodel = {bundle}\neval_n = 200\nmc_draws = 0\n",
+    )
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
+    searches = _count_searches(monkeypatch)
+    assert _run(["evaluate", "--config", cfg, "--seed", 5, "--out", tmp_path / "ev.json"]) == 0
     # one search for the centres, one for the radii of all three alphas
     assert len(searches) == 2
 
@@ -793,6 +814,23 @@ def test_replicate_threads_match_serial(tmp_path):
     assert _run(["replicate", "--config", cfg, "--seed", 6, "--out", serial]) == 0
     assert _run(["replicate", "--config", cfg, "--seed", 6, "--threads", 4, "--out", threaded]) == 0
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_replicate_output_depends_on_its_inputs_alone(tmp_path):
+    # three alphas share one evaluation pass; repeats in one process and a
+    # threaded run must not see anything a previous pass left behind
+    cfg = _write_config(
+        tmp_path / "c.ini",
+        "[data]\nscenario = setting1\nn = 240\n\n"
+        "[model]\nalgorithm = conformal-hetero\nalpha = 0.2, 0.1, 0.05\nmean_k = 6\nk = 10\n\n"
+        "[replicate]\nreplicates = 3\neval_n = 300\nmc_draws = 300\n",
+    )
+    outs = []
+    for i, threads in enumerate((1, 1, 2)):
+        out = tmp_path / f"r{i}.json"
+        assert _run(["replicate", "--config", cfg, "--seed", 8, "--threads", threads, "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_replicate_report_is_fully_populated(tmp_path):

@@ -1,5 +1,6 @@
+import gc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,39 @@ from metricregions.evaluate import (
     conditional_coverage_curve,
     coverage_indicators,
     evaluate_model,
+    evaluate_models,
     l2_integrated_error,
     marginal_coverage,
+    silverman_bandwidth,
     smooth_indicators,
     symmetric_difference_error,
 )
-from metricregions.metrics import EuclideanVector, MetricKind
-from metricregions.regions import fit_homoscedastic
-from metricregions.regression import ConstantMean, LabeledDataset, MeanSpec, SplitConfig, split_dataset
-from metricregions.simulate import GaussianMulti, Setting1, Setting4, generate
+from metricregions.metrics import EuclideanVector, MetricKind, rowwise_distance
+from metricregions.regions import (
+    fit_conformalized_hetero,
+    fit_heteroscedastic_knn,
+    fit_homoscedastic,
+    tune_k_marginal,
+)
+from metricregions.regression import (
+    ConstantMean,
+    LabeledDataset,
+    MeanSpec,
+    SplitConfig,
+    fit_mean,
+    split_dataset,
+    split_three,
+)
+from metricregions.simulate import (
+    GaussianMulti,
+    Setting1,
+    Setting4,
+    WassersteinExample,
+    generate,
+    oracle_contains,
+    predictor_range,
+)
+from metricregions.storage import read_models_json, write_models_json
 
 
 @dataclass(frozen=True)
@@ -238,3 +263,165 @@ def test_indicator_membership_uses_closed_balls():
     y = np.array([[5.5]])  # distance from center 3.5 is exactly the radius
     data = LabeledDataset(x, y)
     assert coverage_indicators(_FixedRadiusModel(2.0), data).all()
+
+
+# ---------------------------------------------------------------------------
+# one evaluation pass over a bundle, against a per-model oracle
+
+
+def _oracle_indicators(model, data):
+    centers = model.center_values(data.predictors)
+    resid = rowwise_distance(model.region_metric, data.response_values, centers, data.quantile_grid)
+    return resid <= model.radii(data.predictors)
+
+
+def _oracle_report(model, eval_set, grid_points, spec, mc_draws, seed) -> dict:
+    """Each model on its own: its indicators, then a kernel built for it
+    alone, as evaluation ran before models shared one pass."""
+    ind = _oracle_indicators(model, eval_set)
+    out = {"alpha": float(model.alpha), "n_eval": eval_set.n, "marginal": float(ind.mean())}
+    if eval_set.p == 1:
+        xs = eval_set.predictors[:, 0]
+        lo, hi = predictor_range(spec) if spec is not None else (float(xs.min()), float(xs.max()))
+        x_grid = np.linspace(lo, hi, grid_points)
+        u = (x_grid[:, None] - xs[None, :]) / silverman_bandwidth(xs)
+        weights = np.exp(-0.5 * np.square(u))
+        indf = ind.astype(np.float64)
+        denom = weights @ np.ones_like(indf)
+        numer = weights @ indf
+        values = np.full(x_grid.size, indf.mean())
+        ok = denom > 0.0
+        values[ok] = numer[ok] / denom[ok]
+        values = np.clip(values, 0.0, 1.0)
+        out["curve_x"], out["curve_values"] = x_grid, values
+        out["l2"] = float(np.trapezoid(np.square(values - (1.0 - model.alpha)), x_grid))
+    if spec is not None and mc_draws > 0:
+        data = generate(spec, mc_draws, rng.derive_seed(seed, "region-error"))
+        truth = oracle_contains(spec, data.predictors, data.response_values, float(model.alpha))
+        out["region_error"] = float(np.mean(_oracle_indicators(model, data) != truth))
+    return out
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _assert_bitwise(report, expected: dict) -> None:
+    assert _bits(report.alpha) == _bits(expected["alpha"])
+    assert report.n_eval == expected["n_eval"]
+    assert _bits(report.marginal_coverage) == _bits(expected["marginal"])
+    if "curve_x" in expected:
+        assert _bits(report.curve.x) == _bits(expected["curve_x"])
+        assert _bits(report.curve.values) == _bits(expected["curve_values"])
+    else:
+        assert report.curve is None
+    assert _bits(report.l2_error) == _bits(expected.get("l2"))
+    assert _bits(report.region_error) == _bits(expected.get("region_error"))
+
+
+_ALPHAS = (0.2, 0.1, 0.05)
+
+
+def _fit_bundle(algorithm, data, seed, mean_kind="knn"):
+    """Three alphas over one mean, composed as the ``fit`` command does."""
+    metric = MetricKind.WASSERSTEIN2 if data.quantile_grid is not None else MetricKind.EUCLIDEAN_L2
+    if algorithm == "conformal-hetero":
+        train, calib, conformal = split_three(data, 0.5, 0.25, seed)
+    else:
+        train, calib = split_dataset(data, SplitConfig(0.5, seed))
+    spec = MeanSpec(mean_kind, metric, k=8 if mean_kind == "knn" else None)
+    mean = fit_mean(train, spec, rng.derive_seed(seed, "mean"))
+    if algorithm == "homoscedastic":
+        return [fit_homoscedastic(train, calib, a, mean, metric, seed=seed) for a in _ALPHAS]
+    if algorithm == "conformal-hetero":
+        return [
+            fit_conformalized_hetero(train, calib, conformal, a, 12, mean, metric, seed=seed)
+            for a in _ALPHAS
+        ]
+    store = fit_heteroscedastic_knn(train, calib, _ALPHAS[0], 12, mean, metric, seed=seed)
+    models = [replace(store, alpha=a) for a in _ALPHAS]
+    if algorithm == "hetero-tuned":
+        models = [tune_k_marginal(m, (4, 8, 12, 16), calib).model for m in models]
+    return models
+
+
+_BUNDLES = [
+    ("homoscedastic", "knn"),
+    ("homoscedastic", "global"),
+    ("hetero-knn", "knn"),
+    ("hetero-tuned", "knn"),
+    ("conformal-hetero", "knn"),
+]
+
+
+def _check_against_oracle(models, eval_set, spec, mc_draws, grid_points=41):
+    seeds = [rng.derive_seed(5, "mc", i) for i in range(len(models))]
+    reports = evaluate_models(models, eval_set, grid_points, spec, mc_draws, seeds)
+    assert len(reports) == len(models)
+    for report, model, seed in zip(reports, models, seeds):
+        _assert_bitwise(report, _oracle_report(model, eval_set, grid_points, spec, mc_draws, seed))
+
+
+@pytest.mark.parametrize("algorithm,mean_kind", _BUNDLES)
+@pytest.mark.parametrize("with_spec", [True, False])
+def test_bundle_pass_matches_per_model_oracle(algorithm, mean_kind, with_spec):
+    data = generate(Setting1(), 320, seed=21)
+    eval_set = generate(Setting1(), 300, seed=22)
+    models = _fit_bundle(algorithm, data, 23, mean_kind)
+    spec, mc_draws = (Setting1(), 400) if with_spec else (None, 0)
+    _check_against_oracle(models, eval_set, spec, mc_draws)
+    _check_against_oracle(models[::-1], eval_set, spec, mc_draws)
+    _check_against_oracle(models[1:2], eval_set, spec, mc_draws)
+
+
+@pytest.mark.parametrize("algorithm,mean_kind", _BUNDLES)
+def test_bundle_pass_without_curves_matches_oracle(algorithm, mean_kind):
+    spec = GaussianMulti(response_dim=2, predictor_dim=2)
+    models = _fit_bundle(algorithm, generate(spec, 320, seed=31), 32, mean_kind)
+    eval_set = generate(spec, 300, seed=33)
+    _check_against_oracle(models, eval_set, spec, 300)
+    assert all(r.curve is None and r.l2_error is None for r in evaluate_models(models, eval_set))
+
+
+def test_bundle_pass_on_quantile_responses_matches_oracle():
+    spec = WassersteinExample(n_obs_per_curve=20)
+    models = _fit_bundle("hetero-knn", generate(spec, 240, seed=41), 42)
+    # no closed-form oracle region, so no region error
+    _check_against_oracle(models, generate(spec, 200, seed=43), spec, 0)
+
+
+@pytest.mark.parametrize("algorithm", ["hetero-knn", "conformal-hetero"])
+def test_bundle_pass_on_a_loaded_bundle_matches_oracle(tmp_path, algorithm):
+    write_models_json(tmp_path / "m.json", _fit_bundle(algorithm, generate(Setting1(), 320, seed=51), 52))
+    models = read_models_json(tmp_path / "m.json")
+    eval_set = generate(Setting1(), 300, seed=53)
+    _check_against_oracle(models, eval_set, Setting1(), 300)
+    _check_against_oracle(models[::-1], eval_set, None, 0)
+
+
+def test_evaluate_models_needs_one_seed_per_model():
+    data = generate(Setting4(), 50, seed=3)
+    with pytest.raises(InvalidConfig):
+        evaluate_models([_FixedRadiusModel(1.0)] * 2, data, seeds=[1])
+    assert evaluate_models([], data) == []
+
+
+def test_reports_own_their_curve_grids():
+    models = _fit_bundle("hetero-knn", generate(Setting1(), 200, seed=61), 62)
+    reports = evaluate_models(models, generate(Setting1(), 150, seed=63))
+    assert not any(
+        np.shares_memory(a.curve.x, b.curve.x) for a, b in zip(reports, reports[1:])
+    )
+
+
+def test_evaluation_keeps_no_state_between_sets():
+    # each set is freed before the next is drawn, so later sets' arrays
+    # may take earlier sets' addresses; each must still equal its own
+    # evaluation from scratch
+    models = _fit_bundle("conformal-hetero", generate(Setting1(), 320, seed=71), 72)
+    for seed in range(73, 79):
+        eval_set = generate(Setting1(), 300, seed=seed)
+        for report, model in zip(evaluate_models(models, eval_set, spec=Setting1()), models):
+            _assert_bitwise(report, _oracle_report(model, eval_set, 101, Setting1(), 0, 0))
+        del eval_set
+        gc.collect()
