@@ -44,9 +44,9 @@ from .errors import (
 from .evaluate import evaluate_models
 from .metrics import MetricKind
 from .regions import (
+    _conformalize,
     _validate_alpha,
     default_radius_k_grid,
-    fit_conformalized_hetero,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
     region_radii,
@@ -311,20 +311,17 @@ def _fit_models(cfg: _Config, data: LabeledDataset, seed: int) -> list:
             fit_homoscedastic(train, calib, alpha, mean, region_metric, seed=seed)
             for alpha in alphas
         ]
-    if algorithm == "conformal-hetero":
-        return [
-            fit_conformalized_hetero(
-                train, calib, conformal, alpha, k, mean, region_metric, seed=seed
-            )
-            for alpha in alphas
-        ]
     # one calibration store for every alpha
-    if algorithm == "hetero-knn":
-        store = fit_heteroscedastic_knn(train, calib, alphas[0], k, mean, region_metric, seed=seed)
-        return [replace(store, alpha=alpha) for alpha in alphas]
-    grid = k_grid or default_radius_k_grid(calib.n)
-    store = fit_heteroscedastic_knn(train, calib, alphas[0], grid[0], mean, region_metric, seed=seed)
-    return [tune_k_marginal(replace(store, alpha=alpha), grid, calib).model for alpha in alphas]
+    if algorithm == "hetero-tuned":
+        k_grid = k_grid or default_radius_k_grid(calib.n)
+        k = k_grid[0]
+    store = fit_heteroscedastic_knn(train, calib, alphas[0], k, mean, region_metric, seed=seed)
+    if algorithm == "conformal-hetero":
+        return _conformalize(store, conformal, alphas)
+    models = [replace(store, alpha=alpha) for alpha in alphas]
+    if algorithm == "hetero-tuned":
+        return [tune_k_marginal(model, k_grid, calib).model for model in models]
+    return models
 
 
 # ---------------------------------------------------------------------------

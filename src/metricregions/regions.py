@@ -23,13 +23,13 @@ responses and the fitted mean, computed once per calibration point.
 
 Every model answers arrays of queries: ``center_values(queries)`` gives
 the (rows, m) centres and ``radii(queries)`` the (rows,) radii.
-``region_radii(models, queries)`` gives the radii of several models at
-once: local-radius models that share a calibration store (equal
-predictors, residuals, k and seed) share one neighbour search, and each
-takes its own order statistic of the same neighbour residuals.  A
-fitted mean is any object with ``predict_values(queries) -> (rows, m)``,
-``p`` and ``quantile_grid``; ``evaluate.coverage_indicators`` tests
-whether responses lie in their regions.
+``region_radii(models, queries)`` is the one local-radius search: models
+that share a calibration store (equal predictors, residuals and seed,
+whatever their k or alpha) share one neighbour search, and each takes
+its own order statistic of its k-prefix of the same neighbour residuals.
+A fitted mean is any object with ``predict_values(queries) -> (rows,
+m)``, ``p`` and ``quantile_grid``; ``evaluate.coverage_indicators``
+tests whether responses lie in their regions.
 """
 
 from __future__ import annotations
@@ -182,6 +182,10 @@ class HeteroscedasticRegionModel:
     region_metric: MetricKind
     seed: int
 
+    def __post_init__(self):
+        if not 1 <= self.k <= self.n_calibration:
+            raise KTooLarge(f"radius k={self.k} outside 1..{self.n_calibration}")
+
     @property
     def n_calibration(self) -> int:
         return self.calibration_predictors.shape[0]
@@ -215,8 +219,6 @@ def fit_heteroscedastic_knn(
     """Fit the mean on ``train``; store per-point residuals on ``calib``."""
     _validate_alpha(alpha)
     _check_region_metric(region_metric, calib)
-    if not 1 <= k <= calib.n:
-        raise KTooLarge(f"radius k={k} outside 1..{calib.n}")
     mean_est = fit_mean(train, mean, rng.derive_seed(seed, "mean"))
     residuals = _calibration_residuals(mean_est, calib, region_metric)
     order = canonical_order(calib)
@@ -267,19 +269,12 @@ def tune_k_marginal(
             f"radius k grid must stay within 1..{model.n_calibration}"
         )
     residuals = _calibration_residuals(model.mean, tune_set, model.region_metric)
-    queries = _as_query_matrix(tune_set.predictors, model.calibration_predictors.shape[1])
-
-    def radii_per_k(idx, rows):
-        # every grid k takes a prefix of the same max(grid) neighbors
-        res = model.calibration_residuals[idx]
-        return np.stack([_row_quantiles(res[:, :k], 1.0 - model.alpha) for k in grid], axis=1)
-
-    radii = nearest_neighbors(
-        model._tree, queries, grid[-1], model._tie_jitter, radii_per_k
-    )
-    coverage = (residuals[:, None] <= radii).mean(axis=0)
-    k_star = grid[int(np.argmin(np.abs(coverage - (1.0 - model.alpha))))]
-    return KTuneResult(replace(model, k=int(k_star)), tuple(grid), coverage, int(k_star))
+    # every candidate shares the store, so one neighbour search serves the grid
+    candidates = [replace(model, k=k) for k in grid]
+    radii = region_radii(candidates, tune_set.predictors)
+    coverage = np.array([(residuals <= r).mean() for r in radii])
+    best = int(np.argmin(np.abs(coverage - (1.0 - model.alpha))))
+    return KTuneResult(candidates[best], tuple(grid), coverage, grid[best])
 
 
 def fit_hetero_tuned(
@@ -351,12 +346,20 @@ def fit_conformalized_hetero(
     """Three-split variant: mean on ``train``, local radii on ``calib``,
     conformal offset on ``conformal``."""
     base = fit_heteroscedastic_knn(train, calib, alpha, k, mean, region_metric, seed=seed)
-    residuals = _calibration_residuals(base.mean, conformal, region_metric)
+    return _conformalize(base, conformal, [alpha])[0]
+
+
+def _conformalize(store: HeteroscedasticRegionModel, conformal: LabeledDataset, alphas):
+    """One conformalized model per alpha over copies of ``store``, whose
+    scores on ``conformal`` share the residuals and one neighbour search."""
+    residuals = _calibration_residuals(store.mean, conformal, store.region_metric)
+    bases = [replace(store, alpha=float(a)) for a in alphas]
     # an infinite local radius yields a score of -inf, which sorts first:
     # that point is covered for any offset
-    scores = residuals - base.radii(conformal.predictors)
-    offset = empirical_quantile(scores, 1.0 - alpha)
-    return ConformalizedHeteroModel(base, float(offset))
+    return [
+        ConformalizedHeteroModel(base, empirical_quantile(residuals - radii, 1.0 - base.alpha))
+        for base, radii in zip(bases, region_radii(bases, conformal.predictors))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +367,28 @@ def fit_conformalized_hetero(
 
 
 def _same_store(a: HeteroscedasticRegionModel, b: HeteroscedasticRegionModel) -> bool:
-    """Whether two local-radius models have the same neighbour sets and
-    residuals; compared by value, since a loaded bundle holds one copy
-    of the store per model."""
+    """Whether two local-radius models, whatever their k, have the same
+    neighbour order and residuals; compared by value, since a loaded
+    bundle holds one copy of the store per model."""
     return (
-        a.k == b.k
-        and a.seed == b.seed
+        a.seed == b.seed
         and np.array_equal(a.calibration_predictors, b.calibration_predictors)
         and np.array_equal(a.calibration_residuals, b.calibration_residuals)
     )
 
 
-def _shared_search_radii(store: HeteroscedasticRegionModel, levels, queries) -> np.ndarray:
-    """(rows, len(levels)) local radii from one neighbour search of
-    ``store``: per level, the order statistic of the neighbour residuals."""
+def _shared_search_radii(stores: Sequence[HeteroscedasticRegionModel], queries) -> np.ndarray:
+    """(rows, len(stores)) local radii from one neighbour search of a
+    shared store at the largest k: per model, the ``1 - alpha`` order
+    statistic of the residuals of its first k neighbours."""
+    store = stores[0]
 
     def quantiles(idx, rows):
         res = store.calibration_residuals[idx]
-        return np.stack([_row_quantiles(res, level) for level in levels], axis=1)
+        return np.stack([_row_quantiles(res[:, :s.k], 1.0 - s.alpha) for s in stores], axis=1)
 
     q = _as_query_matrix(queries, store.calibration_predictors.shape[1])
-    return nearest_neighbors(store._tree, q, store.k, store._tie_jitter, quantiles)
+    return nearest_neighbors(store._tree, q, max(s.k for s in stores), store._tie_jitter, quantiles)
 
 
 def region_radii(models: Sequence, queries: np.ndarray) -> list[np.ndarray]:
@@ -392,27 +396,27 @@ def region_radii(models: Sequence, queries: np.ndarray) -> list[np.ndarray]:
 
     Local-radius models (heteroscedastic, or conformalized over such a
     base) whose calibration stores match share one neighbour search;
-    each member takes its own ``1 - alpha`` order statistic of the same
-    neighbour residuals, so the radii equal those of separate searches
-    bitwise.  A conformalized member then adds its offset to its finite
-    radii, floored at zero.  Any other model answers ``radii`` itself.
-    No two returned arrays share memory.
+    each member takes its own ``1 - alpha`` order statistic of its
+    k-prefix of the same neighbours, so the radii equal those of
+    separate searches bitwise.  A conformalized member then adds its
+    offset to its finite radii, floored at zero.  Any other model
+    answers ``radii`` itself.  No two returned arrays share memory.
     """
     out = [None] * len(models)
-    groups = []  # (store, member positions in ``models``)
-    for i, model in enumerate(models):
-        store = model.base if isinstance(model, ConformalizedHeteroModel) else model
+    stores = [m.base if isinstance(m, ConformalizedHeteroModel) else m for m in models]
+    groups = []  # per shared store, its members' positions in ``models``
+    for i, store in enumerate(stores):
         if not isinstance(store, HeteroscedasticRegionModel):
-            out[i] = model.radii(queries)
+            out[i] = models[i].radii(queries)
             continue
-        for first, members in groups:
-            if first is store or _same_store(first, store):
+        for members in groups:
+            if stores[members[0]] is store or _same_store(stores[members[0]], store):
                 members.append(i)
                 break
         else:
-            groups.append((store, [i]))
-    for store, members in groups:
-        radii = _shared_search_radii(store, [1.0 - models[i].alpha for i in members], queries)
+            groups.append([i])
+    for members in groups:
+        radii = _shared_search_radii([stores[i] for i in members], queries)
         # one column per member: disjoint views of one block
         for j, i in enumerate(members):
             out[i] = radii[:, j]

@@ -306,6 +306,8 @@ class KnnFrechetModel:
     tie_jitter: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 1 <= self.k <= self.training.n:
+            raise KTooLarge(f"k={self.k} outside 1..{self.training.n}")
         jitter = rng.stream(self.seed, "knn-ties").random(self.training.n)
         object.__setattr__(self, "tie_jitter", jitter)
 
@@ -343,8 +345,6 @@ def fit_knn_frechet(
 ) -> KnnFrechetModel:
     """Freeze a kNN Fréchet mean estimator over ``data``."""
     _check_fit_metric(fit_metric, data)
-    if not 1 <= k <= data.n:
-        raise KTooLarge(f"k={k} outside 1..{data.n}")
     order = canonical_order(data)
     return KnnFrechetModel(data.subset(order), int(k), fit_metric, int(seed))
 

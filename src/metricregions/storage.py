@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidDataset, SchemaError, VersionMismatch
+from .errors import InvalidDataset, KTooLarge, SchemaError, VersionMismatch
 from .metrics import EuclideanVector, MetricKind, QuantileFunction
 from .regions import (
     ConformalizedHeteroModel,
@@ -60,10 +60,6 @@ REPORT_FORMAT = "metricregions-report"
 FORMAT_VERSION = 1
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # datasets as CSV
 
@@ -71,7 +67,7 @@ def _fmt(v: float) -> str:
 def _dataset_header(data: LabeledDataset) -> list[str]:
     cols = [f"x_{j + 1}" for j in range(data.p)]
     if data.quantile_grid is not None:
-        cols += [f"q_{_fmt(v)}" for v in data.quantile_grid]
+        cols += [f"q_{text}" for text in _float_texts(data.quantile_grid)]
     else:
         cols += [f"y_{j + 1}" for j in range(data.response_dim)]
     return cols
@@ -79,18 +75,25 @@ def _dataset_header(data: LabeledDataset) -> list[str]:
 
 def write_dataset_csv(path, data: LabeledDataset) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_dataset_header(data))
-        for xrow, yrow in zip(data.predictors, data.response_values):
-            writer.writerow([_fmt(v) for v in xrow] + [_fmt(v) for v in yrow])
+        fh.write(",".join(_dataset_header(data)) + "\n")
+        _write_rows(fh, np.hstack([data.predictors, data.response_values]), ",")
 
 
-def _parse_header(header: Sequence[str]) -> tuple[int, int, Optional[np.ndarray]]:
+def _read_header(reader) -> tuple[list[str], int]:
+    """The header row and its count (at least one) of predictor columns."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty file: missing header row") from None
     p = 0
     while p < len(header) and header[p] == f"x_{p + 1}":
         p += 1
     if p == 0:
         raise SchemaError("header row: first column must be 'x_1'")
+    return header, p
+
+
+def _parse_header(header: Sequence[str], p: int) -> tuple[int, Optional[np.ndarray]]:
     rest = header[p:]
     if not rest:
         raise SchemaError("header row: no response columns after the predictors")
@@ -103,11 +106,11 @@ def _parse_header(header: Sequence[str]) -> tuple[int, int, Optional[np.ndarray]
                 levels.append(float(name[2:]))
             except ValueError:
                 raise SchemaError(f"header row, column {p + j + 1}: bad quantile level in {name!r}") from None
-        return p, len(levels), np.asarray(levels)
+        return len(levels), np.asarray(levels)
     for j, name in enumerate(rest):
         if name != f"y_{j + 1}":
             raise SchemaError(f"header row, column {p + j + 1}: expected 'y_{j + 1}', got {name!r}")
-    return p, len(rest), None
+    return len(rest), None
 
 
 def _parse_cells(reader, header: Sequence[str], width: int) -> np.ndarray:
@@ -132,11 +135,8 @@ def _parse_cells(reader, header: Sequence[str], width: int) -> np.ndarray:
 def read_dataset_csv(path) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: missing header row") from None
-        p, m, grid = _parse_header(header)
+        header, p = _read_header(reader)
+        m, grid = _parse_header(header, p)
         table = _parse_cells(reader, header, p + m)
     try:
         # C-contiguous copies, the layout every downstream product expects
@@ -152,17 +152,9 @@ def read_queries_csv(path) -> np.ndarray:
     response columns present (a full dataset file) are ignored."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: missing header row") from None
-        p = 0
-        while p < len(header) and header[p] == f"x_{p + 1}":
-            p += 1
-        if p == 0:
-            raise SchemaError("header row: first column must be 'x_1'")
+        header, p = _read_header(reader)
         if len(header) > p:
-            _parse_header(header)  # anything after the predictors must be a valid response block
+            _parse_header(header, p)  # anything after the predictors must be a valid response block
         table = _parse_cells(reader, header, p)
     finite = np.isfinite(table)
     if not finite.all():
@@ -177,11 +169,6 @@ def read_queries_csv(path) -> np.ndarray:
 
 # the byte layout is the one the module docstring states
 _QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
-
-
-def _float_text(f: float) -> str:
-    text = float.__repr__(f)
-    return text if math.isfinite(f) else _QUOTED[text]
 
 
 def _float_texts(a: np.ndarray) -> list[str]:
@@ -235,7 +222,7 @@ def _encode(obj, level: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _float_text(float(obj))
+        return _float_texts(np.float64(obj))[0]
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -442,7 +429,13 @@ def read_models_json(path) -> list:
         loaded.append((block, _mean_from_dict(block)))
         return loaded[-1][1]
 
-    return [model_from_dict(e, shared_mean) for e in entries]
+    models = []
+    for i, entry in enumerate(entries):
+        try:
+            models.append(model_from_dict(entry, shared_mean))
+        except (SchemaError, InvalidDataset, KTooLarge, IndexError, TypeError, ValueError) as exc:
+            raise SchemaError(f"model {i}: {exc}") from exc
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +454,7 @@ class RegionColumns(NamedTuple):
     radii: np.ndarray
 
 
-# queries formatted per write; bounds the text held in memory
+# queries (JSON) or values (CSV, TSV) formatted per write; bounds the text held in memory
 _ROW_BLOCK = 4096
 # stands in for the per-row parts when a row's constant text is encoded
 _HOLE = "\0"
@@ -525,10 +518,16 @@ def write_report_json(path, report: dict) -> None:
 def write_curves_tsv(path, x: np.ndarray, columns: dict) -> None:
     """One abscissa column followed by the named curves, tab separated."""
     names = list(columns)
-    arrays = [np.asarray(columns[name], dtype=np.float64) for name in names]
-    x = np.asarray(x, dtype=np.float64)
+    table = np.array([x] + [columns[name] for name in names], dtype=np.float64).T
     with open(path, "w", newline="") as fh:
         fh.write("\t".join(["x"] + names) + "\n")
-        for i in range(x.size):
-            cells = [_fmt(x[i])] + [_fmt(a[i]) for a in arrays]
-            fh.write("\t".join(cells) + "\n")
+        _write_rows(fh, table, "\t")
+
+
+def _write_rows(fh, table: np.ndarray, sep: str) -> None:
+    """Each row of a 2-d float array as a ``sep``-separated line, in blocks of about ``_ROW_BLOCK`` values."""
+    m = table.shape[1]
+    step = max(1, _ROW_BLOCK // m)
+    for start in range(0, table.shape[0], step):
+        texts = _float_texts(table[start:start + step])
+        fh.writelines(sep.join(texts[i:i + m]) + "\n" for i in range(0, len(texts), m))

@@ -395,6 +395,33 @@ def test_evaluate_searches_once_per_mean_and_store(tmp_path, monkeypatch, algori
     assert len(searches) == 2
 
 
+def test_conformal_fit_searches_once_per_split(tmp_path, monkeypatch):
+    cfg = _write_config(
+        tmp_path / "f.ini", _THREE_ALPHA_CONFIG.replace("hetero-knn", "conformal-hetero")
+    )
+    searches = _count_searches(monkeypatch)
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", tmp_path / "m.json"]) == 0
+    # calibration centres, conformal centres, and the conformal radii of
+    # all three alphas
+    assert len(searches) == 3
+
+
+def test_tuned_predict_searches_once_per_store_across_k(tmp_path, monkeypatch):
+    cfg = _write_config(
+        tmp_path / "f.ini",
+        "[data]\nscenario = setting2\nn = 1200\n\n"
+        "[model]\nalgorithm = hetero-tuned\nalpha = 0.3, 0.1, 0.02\nk_grid = 10, 40, 160\n",
+    )
+    bundle, queries = tmp_path / "m.json", tmp_path / "q.csv"
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
+    assert len({m.k for m in read_models_json(bundle)}) >= 2
+    assert _run(["simulate", "--config", cfg, "--seed", 5, "--out", queries]) == 0
+    searches = _count_searches(monkeypatch)
+    _predict(tmp_path, bundle, queries)
+    # one search for the centres, one for the radii of every alpha and k
+    assert len(searches) == 2
+
+
 def test_out_of_range_alpha_is_config_error(tmp_path, capsys):
     # alphas past the first are copies of the first fit, so each is checked
     cfg = _write_config(
@@ -611,6 +638,38 @@ def test_non_finite_query_file_is_data_error(fitted_bundle, tmp_path, capsys):
             read_queries_csv(bad)
         assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
         assert message in capsys.readouterr().err
+
+
+def _with_training(entry, **fields):
+    training = {**entry["mean"]["training"], **fields}
+    return {**entry, "mean": {**entry["mean"], "training": training}}
+
+
+def _with_two_calibration_rows(entry):
+    rows = {key: entry[key][:2] for key in ("calibration_predictors", "calibration_residuals")}
+    return {**entry, **rows}
+
+
+def test_malformed_bundle_entry_is_data_error_naming_it(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "f.ini", _THREE_ALPHA_CONFIG)
+    bundle, queries, bad = tmp_path / "m.json", tmp_path / "q.csv", tmp_path / "bad.json"
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
+    assert _run(["simulate", "--config", cfg, "--seed", 5, "--out", queries]) == 0
+    cases = (
+        (0, lambda e: 5),
+        (1, lambda e: {**e, "alpha": "x"}),
+        (2, lambda e: {**e, "region_metric": "nope"}),
+        (1, lambda e: _with_training(e, predictors="abc")),
+        (2, lambda e: {**_with_two_calibration_rows(e), "k": 5}),
+        (0, lambda e: {**e, "mean": {**e["mean"], "k": 121}}),  # 120 training rows
+    )
+    cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bad}\nqueries = {queries}\n")
+    for index, mutate in cases:
+        doc = json.loads(bundle.read_text())
+        doc["models"][index] = mutate(doc["models"][index])
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3, index
+        assert f"data error: model {index}: " in capsys.readouterr().err, index
     assert not (tmp_path / "r.json").exists()
 
 

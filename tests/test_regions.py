@@ -591,9 +591,9 @@ def test_region_radii_match_brute_force_and_single_models(lattice, p, monkeypatc
 
     monkeypatch.setattr(regions, "nearest_neighbors", counting)
     got = region_radii(models, queries)
-    # one search for the shared store (the copy included), one for the
-    # other seed and one for the other k
-    assert sorted(searches) == [7, 7, 12]
+    # one search for the shared store at its largest k (the copy and the
+    # other k included) and one for the other seed
+    assert sorted(searches) == [7, 12]
     assert np.isinf(got[3]).all() and (got[7] == 0.0).any()
     for i, model in enumerate(models):
         assert got[i].shape == (40,), i
