@@ -47,6 +47,7 @@ from .errors import (
     EmptyValues,
     IncompatibleMetric,
     InvalidConfig,
+    InvalidDataset,
     KTooLarge,
 )
 from .metrics import MetricKind, rowwise_distance
@@ -185,6 +186,9 @@ class HeteroscedasticRegionModel:
     def __post_init__(self):
         if not 1 <= self.k <= self.n_calibration:
             raise KTooLarge(f"radius k={self.k} outside 1..{self.n_calibration}")
+        _validate_alpha(self.alpha)
+        if self.calibration_residuals.shape != (self.n_calibration,):
+            raise InvalidDataset(f"residuals do not match {self.n_calibration} calibration rows")
 
     @property
     def n_calibration(self) -> int:
@@ -217,7 +221,6 @@ def fit_heteroscedastic_knn(
     seed: int = 0,
 ) -> HeteroscedasticRegionModel:
     """Fit the mean on ``train``; store per-point residuals on ``calib``."""
-    _validate_alpha(alpha)
     _check_region_metric(region_metric, calib)
     mean_est = fit_mean(train, mean, rng.derive_seed(seed, "mean"))
     residuals = _calibration_residuals(mean_est, calib, region_metric)
@@ -264,10 +267,6 @@ def tune_k_marginal(
     grid = sorted({int(k) for k in k_grid})
     if not grid:
         raise InvalidConfig("empty radius k grid")
-    if grid[0] < 1 or grid[-1] > model.n_calibration:
-        raise KTooLarge(
-            f"radius k grid must stay within 1..{model.n_calibration}"
-        )
     residuals = _calibration_residuals(model.mean, tune_set, model.region_metric)
     # every candidate shares the store, so one neighbour search serves the grid
     candidates = [replace(model, k=k) for k in grid]

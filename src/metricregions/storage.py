@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidDataset, KTooLarge, SchemaError, VersionMismatch
+from .errors import InvalidDataset, MetricRegionsError, SchemaError, VersionMismatch
 from .metrics import EuclideanVector, MetricKind, QuantileFunction
 from .regions import (
     ConformalizedHeteroModel,
@@ -433,7 +433,7 @@ def read_models_json(path) -> list:
     for i, entry in enumerate(entries):
         try:
             models.append(model_from_dict(entry, shared_mean))
-        except (SchemaError, InvalidDataset, KTooLarge, IndexError, TypeError, ValueError) as exc:
+        except (MetricRegionsError, IndexError, TypeError, ValueError) as exc:
             raise SchemaError(f"model {i}: {exc}") from exc
     return models
 

@@ -638,6 +638,7 @@ def test_non_finite_query_file_is_data_error(fitted_bundle, tmp_path, capsys):
             read_queries_csv(bad)
         assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
         assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def _with_training(entry, **fields):
@@ -662,6 +663,8 @@ def test_malformed_bundle_entry_is_data_error_naming_it(tmp_path, capsys):
         (1, lambda e: _with_training(e, predictors="abc")),
         (2, lambda e: {**_with_two_calibration_rows(e), "k": 5}),
         (0, lambda e: {**e, "mean": {**e["mean"], "k": 121}}),  # 120 training rows
+        (1, lambda e: {**e, "alpha": 1.5}),
+        (2, lambda e: {**e, "calibration_residuals": e["calibration_residuals"][:-1]}),
     )
     cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bad}\nqueries = {queries}\n")
     for index, mutate in cases:
