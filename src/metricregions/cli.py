@@ -143,7 +143,10 @@ class _Config:
 
     def __init__(self, path: str):
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"config file {path!r} is not UTF-8 text ({exc})") from None
         if not read:
             raise InvalidConfig(f"config file {path!r} not found or unreadable")
         if parser.defaults():
@@ -345,7 +348,7 @@ def _cmd_predict(cfg: _Config, args) -> None:
     queries = read_queries_csv(cfg.get_str("predict", "queries"))
     # larger alpha first, so per-query radii are nondecreasing down the file
     models = sorted(models, key=lambda m: -m.alpha)
-    centers = {}  # models loaded with equal mean blocks share one mean
+    centers = {}  # models that refer to one mean entry share one mean
     for model in models:
         if id(model.mean) not in centers:
             centers[id(model.mean)] = model.center_values(queries)

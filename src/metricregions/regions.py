@@ -24,9 +24,9 @@ responses and the fitted mean, computed once per calibration point.
 Every model answers arrays of queries: ``center_values(queries)`` gives
 the (rows, m) centres and ``radii(queries)`` the (rows,) radii.
 ``region_radii(models, queries)`` is the one local-radius search: models
-that share a calibration store (equal predictors, residuals and seed,
-whatever their k or alpha) share one neighbour search, and each takes
-its own order statistic of its k-prefix of the same neighbour residuals.
+that hold one calibration store (the same arrays and seed, whatever
+their k or alpha) share one neighbour search, and each takes its own
+order statistic of its k-prefix of the same neighbour residuals.
 A fitted mean is any object with ``predict_values(queries) -> (rows,
 m)``, ``p`` and ``quantile_grid``; ``evaluate.coverage_indicators``
 tests whether responses lie in their regions.
@@ -365,17 +365,6 @@ def _conformalize(store: HeteroscedasticRegionModel, conformal: LabeledDataset, 
 # radii of several models at once
 
 
-def _same_store(a: HeteroscedasticRegionModel, b: HeteroscedasticRegionModel) -> bool:
-    """Whether two local-radius models, whatever their k, have the same
-    neighbour order and residuals; compared by value, since a loaded
-    bundle holds one copy of the store per model."""
-    return (
-        a.seed == b.seed
-        and np.array_equal(a.calibration_predictors, b.calibration_predictors)
-        and np.array_equal(a.calibration_residuals, b.calibration_residuals)
-    )
-
-
 def _shared_search_radii(stores: Sequence[HeteroscedasticRegionModel], queries) -> np.ndarray:
     """(rows, len(stores)) local radii from one neighbour search of a
     shared store at the largest k: per model, the ``1 - alpha`` order
@@ -394,27 +383,27 @@ def region_radii(models: Sequence, queries: np.ndarray) -> list[np.ndarray]:
     """The (rows,) radii of every model at ``queries``, in ``models`` order.
 
     Local-radius models (heteroscedastic, or conformalized over such a
-    base) whose calibration stores match share one neighbour search;
-    each member takes its own ``1 - alpha`` order statistic of its
-    k-prefix of the same neighbours, so the radii equal those of
+    base) that hold one calibration store share one neighbour search:
+    the same ``calibration_predictors`` and ``calibration_residuals``
+    objects, as every fit and every loaded bundle shares them across
+    alphas and k, and an equal seed.  Equal stores built apart search
+    apart.  Each member takes its own ``1 - alpha`` order statistic of
+    its k-prefix of the same neighbours, so the radii equal those of
     separate searches bitwise.  A conformalized member then adds its
     offset to its finite radii, floored at zero.  Any other model
     answers ``radii`` itself.  No two returned arrays share memory.
     """
     out = [None] * len(models)
     stores = [m.base if isinstance(m, ConformalizedHeteroModel) else m for m in models]
-    groups = []  # per shared store, its members' positions in ``models``
+    # per store, its members' positions; ``models`` keeps the id()-keyed arrays alive
+    groups = {}
     for i, store in enumerate(stores):
-        if not isinstance(store, HeteroscedasticRegionModel):
-            out[i] = models[i].radii(queries)
-            continue
-        for members in groups:
-            if stores[members[0]] is store or _same_store(stores[members[0]], store):
-                members.append(i)
-                break
+        if isinstance(store, HeteroscedasticRegionModel):
+            key = (id(store.calibration_predictors), id(store.calibration_residuals), store.seed)
+            groups.setdefault(key, []).append(i)
         else:
-            groups.append([i])
-    for members in groups:
+            out[i] = models[i].radii(queries)
+    for members in groups.values():
         radii = _shared_search_radii([stores[i] for i in members], queries)
         # one column per member: disjoint views of one block
         for j, i in enumerate(members):

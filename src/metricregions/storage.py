@@ -5,7 +5,13 @@ All numbers are written with their shortest exact decimal representation
 cannot carry IEEE infinities, so non-finite floats are stored as the
 strings "inf", "-inf", and "nan" and decoded back on load.  Readers
 skip keys they do not use, so older bundles of the same version that
-still carry since-dropped fields load unchanged.
+still carry since-dropped fields load unchanged.  Input files are read
+as UTF-8.
+
+A model bundle (version 2; version 1 bundles must be refitted) lists
+each distinct fitted mean once under ``means`` and each distinct
+calibration store once under ``calibrations``; its ``models`` refer to
+them by index, and loaded models that refer to one entry share it.
 
 Every JSON file (bundles, regions, reports) comes from one emitter with
 a fixed byte layout: object keys sorted, each item on its own line
@@ -25,6 +31,7 @@ import csv
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,8 +51,6 @@ __all__ = [
     "write_dataset_csv",
     "read_dataset_csv",
     "read_queries_csv",
-    "model_to_dict",
-    "model_from_dict",
     "write_models_json",
     "read_models_json",
     "RegionColumns",
@@ -57,7 +62,8 @@ __all__ = [
 MODELS_FORMAT = "metricregions-models"
 REGIONS_FORMAT = "metricregions-regions"
 REPORT_FORMAT = "metricregions-report"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # regions and reports
+_MODELS_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,7 @@ def _parse_cells(reader, header: Sequence[str], width: int) -> np.ndarray:
 
 
 def read_dataset_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
+    with _text_in(path) as fh:
         reader = csv.reader(fh)
         header, p = _read_header(reader)
         m, grid = _parse_header(header, p)
@@ -150,7 +156,7 @@ def read_dataset_csv(path) -> LabeledDataset:
 def read_queries_csv(path) -> np.ndarray:
     """Finite predictor rows from a CSV with x_1..x_p columns; any
     response columns present (a full dataset file) are ignored."""
-    with open(path, newline="") as fh:
+    with _text_in(path) as fh:
         reader = csv.reader(fh)
         header, p = _read_header(reader)
         if len(header) > p:
@@ -240,30 +246,32 @@ def _encode(obj, level: int = 0) -> str:
 _SPECIALS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
-def _float_in(v) -> float:
-    if isinstance(v, str):
-        if v in _SPECIALS:
-            return _SPECIALS[v]
-        raise SchemaError(f"expected a number, got {v!r}")
-    return float(v)
-
-
 def _dump_json(path, payload: dict) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_encode(payload) + "\n")
 
 
-def _load_json(path, expected_format: str) -> dict:
-    with open(path) as fh:
+@contextmanager
+def _text_in(path):
+    """``path`` open as UTF-8 text; undecodable bytes are a data error."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _load_json(path, expected_format: str, version: int) -> dict:
+    with _text_in(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise SchemaError(f"file is not a {expected_format} document")
-    if payload.get("version") != FORMAT_VERSION:
+    if payload.get("version") != version:
         raise VersionMismatch(
-            f"version {payload.get('version')!r} not supported (expected {FORMAT_VERSION})"
+            f"version {payload.get('version')!r} not supported (expected {version})"
         )
     return payload
 
@@ -272,6 +280,30 @@ def _require(d: dict, key: str):
     if key not in d:
         raise SchemaError(f"missing field {key!r}")
     return d[key]
+
+
+def _int_in(d: dict, key: str) -> int:
+    v = _require(d, key)
+    if type(v) is not int:  # a JSON float or a bool (an int subclass) is no integer
+        raise SchemaError(f"field {key!r}: expected an integer, got {v!r}")
+    return v
+
+
+def _float_in(d: dict, key: str) -> float:
+    v = _require(d, key)
+    if isinstance(v, str) and v in _SPECIALS:
+        return _SPECIALS[v]
+    if type(v) not in (int, float):
+        raise SchemaError(f"field {key!r}: expected a number, got {v!r}")
+    return float(v)
+
+
+def _entry_in(d: dict, key: str, table: list):
+    """The ``table`` entry that field ``key`` refers to by index."""
+    i = _int_in(d, key)
+    if not 0 <= i < len(table):  # a negative index does not count from the end
+        raise SchemaError(f"field {key!r}: no entry {i} among {len(table)}")
+    return table[i]
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +359,9 @@ def _mean_from_dict(d: dict):
     if kind == "knn":
         return KnnFrechetModel(
             training=_dataset_from_dict(_require(d, "training")),
-            k=int(_require(d, "k")),
+            k=_int_in(d, "k"),
             fit_metric=MetricKind(_require(d, "fit_metric")),
-            seed=int(_require(d, "seed")),
+            seed=_int_in(d, "seed"),
         )
     if kind == "global":
         return GlobalFrechetModel(
@@ -346,96 +378,95 @@ def _mean_from_dict(d: dict):
     raise SchemaError(f"unknown mean estimator kind {kind!r}")
 
 
-def model_to_dict(model) -> dict:
-    if isinstance(model, HomoscedasticRegionModel):
-        return {
-            "algorithm": "homoscedastic",
-            "alpha": model.alpha,
-            "region_metric": model.region_metric.value,
-            "calibrated_radius": model.calibrated_radius,
-            "mean": _mean_to_dict(model.mean),
-        }
-    if isinstance(model, HeteroscedasticRegionModel):
-        return {
-            "algorithm": "heteroscedastic-knn",
-            "alpha": model.alpha,
-            "region_metric": model.region_metric.value,
-            "seed": model.seed,
-            "k": model.k,
-            "calibration_predictors": model.calibration_predictors,
-            "calibration_residuals": model.calibration_residuals,
-            "mean": _mean_to_dict(model.mean),
-        }
+def _model_to_dict(model, refer) -> dict:
+    """A bundle entry; ``refer(table, key, block)`` gives the index in
+    ``table`` of ``block``, built from the objects that ``key`` names."""
     if isinstance(model, ConformalizedHeteroModel):
         return {
             "algorithm": "conformalized",
             "offset": model.offset,
-            "base": model_to_dict(model.base),
+            "base": _model_to_dict(model.base, refer),
         }
-    raise SchemaError(f"cannot serialize model of type {type(model).__name__}")
+    if not isinstance(model, (HomoscedasticRegionModel, HeteroscedasticRegionModel)):
+        raise SchemaError(f"cannot serialize model of type {type(model).__name__}")
+    entry = {
+        "alpha": model.alpha,
+        "region_metric": model.region_metric.value,
+        "mean": refer("means", id(model.mean), _mean_to_dict(model.mean)),
+    }
+    if isinstance(model, HomoscedasticRegionModel):
+        return {**entry, "algorithm": "homoscedastic", "calibrated_radius": model.calibrated_radius}
+    predictors, residuals = model.calibration_predictors, model.calibration_residuals
+    store = {"predictors": predictors, "residuals": residuals, "seed": model.seed}
+    calibration = refer("calibrations", (id(predictors), id(residuals), model.seed), store)
+    return {**entry, "algorithm": "heteroscedastic-knn", "k": model.k, "calibration": calibration}
 
 
-def model_from_dict(d: dict, mean_from_dict=_mean_from_dict):
+def _model_from_dict(d: dict, tables: dict):
     algorithm = _require(d, "algorithm")
-    if algorithm == "homoscedastic":
-        return HomoscedasticRegionModel(
-            mean=mean_from_dict(_require(d, "mean")),
-            calibrated_radius=_float_in(_require(d, "calibrated_radius")),
-            alpha=float(_require(d, "alpha")),
-            region_metric=MetricKind(_require(d, "region_metric")),
-        )
-    if algorithm == "heteroscedastic-knn":
-        return HeteroscedasticRegionModel(
-            mean=mean_from_dict(_require(d, "mean")),
-            calibration_predictors=np.asarray(
-                _require(d, "calibration_predictors"), dtype=np.float64
-            ),
-            calibration_residuals=np.asarray(
-                _require(d, "calibration_residuals"), dtype=np.float64
-            ),
-            k=int(_require(d, "k")),
-            alpha=float(_require(d, "alpha")),
-            region_metric=MetricKind(_require(d, "region_metric")),
-            seed=int(_require(d, "seed")),
-        )
     if algorithm == "conformalized":
-        base = model_from_dict(_require(d, "base"), mean_from_dict)
+        base = _model_from_dict(_require(d, "base"), tables)
         if not isinstance(base, HeteroscedasticRegionModel):
             raise SchemaError("conformalized model needs a heteroscedastic-knn base")
-        return ConformalizedHeteroModel(base=base, offset=_float_in(_require(d, "offset")))
-    raise SchemaError(f"unknown model algorithm {algorithm!r}")
+        return ConformalizedHeteroModel(base=base, offset=_float_in(d, "offset"))
+    if algorithm not in ("homoscedastic", "heteroscedastic-knn"):
+        raise SchemaError(f"unknown model algorithm {algorithm!r}")
+    mean = _entry_in(d, "mean", tables["means"])
+    alpha, region_metric = _float_in(d, "alpha"), MetricKind(_require(d, "region_metric"))
+    if algorithm == "homoscedastic":
+        return HomoscedasticRegionModel(mean, _float_in(d, "calibrated_radius"), alpha, region_metric)
+    predictors, residuals, seed = _entry_in(d, "calibration", tables["calibrations"])
+    return HeteroscedasticRegionModel(
+        mean, predictors, residuals, _int_in(d, "k"), alpha, region_metric, seed
+    )
+
+
+def _calibration_from_dict(d: dict) -> tuple:
+    arrays = (np.asarray(_require(d, key), dtype=np.float64) for key in ("predictors", "residuals"))
+    return (*arrays, _int_in(d, "seed"))
 
 
 def write_models_json(path, models: Sequence) -> None:
-    payload = {
-        "format": MODELS_FORMAT,
-        "version": FORMAT_VERSION,
-        "models": [model_to_dict(m) for m in models],
-    }
-    _dump_json(path, payload)
+    """Each distinct mean and calibration store is written once, in order
+    of first use, and the models refer to it by index.  Entries match by
+    their text, so the bytes depend on the models' values alone."""
+    tables = {"calibrations": {}, "means": {}}  # per table, entry text -> index
+    texts = {}  # per key of objects, their entry's text; ``models`` keeps them alive
+
+    def refer(table: str, key, block: dict) -> int:
+        if key not in texts:
+            texts[key] = _encode(block, 2)
+        return tables[table].setdefault(texts[key], len(tables[table]))
+
+    entries = [_model_to_dict(m, refer) for m in models]
+    document = {"format": MODELS_FORMAT, "version": _MODELS_VERSION, "models": entries}
+    # keys sort as calibrations, format, means, models, version
+    head, middle, tail = _encode({**document, **dict.fromkeys(tables, _HOLE)}).split(_encode(_HOLE))
+    calibrations, means = (_wrap(list(table), 1) for table in tables.values())
+    with open(path, "w", newline="") as fh:
+        fh.write(head + calibrations + middle + means + tail + "\n")
+
+
+def _named(name: str, build, *args):
+    """``build(*args)``; a data error in it names the bundle entry."""
+    try:
+        return build(*args)
+    except (MetricRegionsError, IndexError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{name}: {exc}") from exc
 
 
 def read_models_json(path) -> list:
-    payload = _load_json(path, MODELS_FORMAT)
-    entries = _require(payload, "models")
-    if not isinstance(entries, list) or not entries:
+    """Models that refer to one table entry share its loaded objects."""
+    payload = _load_json(path, MODELS_FORMAT, _MODELS_VERSION)
+    if not all(isinstance(payload.get(t), list) for t in ("means", "calibrations", "models")):
+        raise SchemaError("model bundle needs the lists 'means', 'calibrations' and 'models'")
+    if not payload["models"]:
         raise SchemaError("model bundle holds no models")
-    loaded = []  # (mean block, mean) pairs: equal blocks share one mean
-
-    def shared_mean(block: dict):
-        for seen, mean in loaded:
-            if seen == block:
-                return mean
-        loaded.append((block, _mean_from_dict(block)))
-        return loaded[-1][1]
-
-    models = []
-    for i, entry in enumerate(entries):
-        try:
-            models.append(model_from_dict(entry, shared_mean))
-        except (MetricRegionsError, IndexError, TypeError, ValueError) as exc:
-            raise SchemaError(f"model {i}: {exc}") from exc
-    return models
+    tables = {
+        table: [_named(f"{table[:-1]} {i}", build, e) for i, e in enumerate(payload[table])]
+        for table, build in (("means", _mean_from_dict), ("calibrations", _calibration_from_dict))
+    }
+    return [_named(f"model {i}", _model_from_dict, e, tables) for i, e in enumerate(payload["models"])]
 
 
 # ---------------------------------------------------------------------------

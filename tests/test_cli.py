@@ -15,6 +15,8 @@ from metricregions.cli import main
 from metricregions.errors import SchemaError
 from metricregions.metrics import MetricKind
 from metricregions.regions import (
+    ConformalizedHeteroModel,
+    HomoscedasticRegionModel,
     fit_conformalized_hetero,
     fit_heteroscedastic_knn,
     fit_homoscedastic,
@@ -34,14 +36,13 @@ from metricregions.storage import (
     MODELS_FORMAT,
     REGIONS_FORMAT,
     REPORT_FORMAT,
-    model_to_dict,
     read_models_json,
     read_queries_csv,
     write_dataset_csv,
     write_models_json,
 )
 
-from json_reference import reference_dumps
+from json_reference import ref_jsonify, reference_dumps
 
 
 def _write_config(path, text):
@@ -197,11 +198,12 @@ def test_bundle_with_dropped_fields_predicts_the_same(fitted_bundle, tmp_path):
     csv_path, bundle = fitted_bundle
     doc = json.loads(bundle.read_text())
     for entry in doc["models"]:
-        mean = entry["mean"]
         entry["randomized_ties"] = False
         entry["seed"] = 5
+    for mean in doc["means"]:
         n_train = len(mean["training"]["predictors"])
         mean["tie_jitter"] = rng.stream(mean["seed"], "knn-ties").random(n_train).tolist()
+    doc["calibrations"].append({"predictors": [[0.0]], "residuals": [1.0], "seed": 0, "k": 3})
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(doc), encoding="utf-8")
     outs = []
@@ -350,6 +352,22 @@ def test_hetero_knn_fit_computes_calibration_centres_once(tmp_path, monkeypatch)
     assert _run(["fit", "--config", cfg, "--seed", 4, "--out", tmp_path / "m.json"]) == 0
     assert rows == [120]  # the calibration half, once for three alphas
     assert [m.alpha for m in read_models_json(tmp_path / "m.json")] == [0.2, 0.1, 0.05]
+
+
+@pytest.mark.parametrize("algorithm", ["hetero-knn", "conformal-hetero"])
+def test_bundle_holds_each_mean_and_store_once(tmp_path, algorithm):
+    cfg = _write_config(tmp_path / "f.ini", _THREE_ALPHA_CONFIG.replace("hetero-knn", algorithm))
+    bundle = tmp_path / "m.json"
+    assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
+    doc = json.loads(bundle.read_text())
+    assert len(doc["models"]) == 3
+    assert len(doc["means"]) == 1 and len(doc["calibrations"]) == 1
+    models = read_models_json(bundle)
+    stores = [getattr(m, "base", m) for m in models]
+    for store in stores[1:]:
+        assert store.mean is stores[0].mean
+        assert store.calibration_predictors is stores[0].calibration_predictors
+        assert store.calibration_residuals is stores[0].calibration_residuals
 
 
 def _count_searches(monkeypatch) -> list:
@@ -531,12 +549,55 @@ def test_models_json_matches_stdlib_reference(tmp_path, algorithm):
     models = _direct_models(algorithm, 17)
     path = tmp_path / "m.json"
     write_models_json(path, models)
-    expected = {
+    assert path.read_bytes() == reference_dumps(_reference_bundle(models))
+
+
+def _reference_bundle(models) -> dict:
+    """The version 2 payload of kNN-mean models, built by hand: each
+    distinct mean and calibration store once, compared by value, in
+    order of first use."""
+    means, calibrations = [], []
+
+    def index(table, block):
+        block = ref_jsonify(block)
+        if block not in table:
+            table.append(block)
+        return table.index(block)
+
+    def entry(m):
+        if isinstance(m, ConformalizedHeteroModel):
+            return {"algorithm": "conformalized", "offset": m.offset, "base": entry(m.base)}
+        training = m.mean.training
+        mean = {
+            "kind": "knn",
+            "k": m.mean.k,
+            "fit_metric": m.mean.fit_metric.value,
+            "seed": m.mean.seed,
+            "training": {
+                "predictors": training.predictors,
+                "response_values": training.response_values,
+                "quantile_grid": None,
+            },
+        }
+        fields = {"alpha": m.alpha, "region_metric": m.region_metric.value, "mean": index(means, mean)}
+        if isinstance(m, HomoscedasticRegionModel):
+            return {"algorithm": "homoscedastic", "calibrated_radius": m.calibrated_radius, **fields}
+        store = {
+            "predictors": m.calibration_predictors,
+            "residuals": m.calibration_residuals,
+            "seed": m.seed,
+        }
+        calibration = index(calibrations, store)
+        return {"algorithm": "heteroscedastic-knn", "k": m.k, "calibration": calibration, **fields}
+
+    entries = [entry(m) for m in models]
+    return {
         "format": MODELS_FORMAT,
-        "version": FORMAT_VERSION,
-        "models": [model_to_dict(m) for m in models],
+        "version": 2,
+        "means": means,
+        "calibrations": calibrations,
+        "models": entries,
     }
-    assert path.read_bytes() == reference_dumps(expected)
 
 
 def _capture_reports(monkeypatch) -> list:
@@ -641,14 +702,17 @@ def test_non_finite_query_file_is_data_error(fitted_bundle, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def _with_training(entry, **fields):
-    training = {**entry["mean"]["training"], **fields}
-    return {**entry, "mean": {**entry["mean"], "training": training}}
+def _with_two_rows(store):
+    return {**store, "predictors": store["predictors"][:2], "residuals": store["residuals"][:2]}
 
 
-def _with_two_calibration_rows(entry):
-    rows = {key: entry[key][:2] for key in ("calibration_predictors", "calibration_residuals")}
-    return {**entry, **rows}
+_HOMOSCEDASTIC_ENTRY = {
+    "algorithm": "homoscedastic",
+    "alpha": 0.2,
+    "calibrated_radius": 1.0,
+    "mean": 0,
+    "region_metric": "euclidean-l2",
+}
 
 
 def test_malformed_bundle_entry_is_data_error_naming_it(tmp_path, capsys):
@@ -656,24 +720,47 @@ def test_malformed_bundle_entry_is_data_error_naming_it(tmp_path, capsys):
     bundle, queries, bad = tmp_path / "m.json", tmp_path / "q.csv", tmp_path / "bad.json"
     assert _run(["fit", "--config", cfg, "--seed", 4, "--out", bundle]) == 0
     assert _run(["simulate", "--config", cfg, "--seed", 5, "--out", queries]) == 0
+    # (table, index, new entry from the old one, the entry the error names)
     cases = (
-        (0, lambda e: 5),
-        (1, lambda e: {**e, "alpha": "x"}),
-        (2, lambda e: {**e, "region_metric": "nope"}),
-        (1, lambda e: _with_training(e, predictors="abc")),
-        (2, lambda e: {**_with_two_calibration_rows(e), "k": 5}),
-        (0, lambda e: {**e, "mean": {**e["mean"], "k": 121}}),  # 120 training rows
-        (1, lambda e: {**e, "alpha": 1.5}),
-        (2, lambda e: {**e, "calibration_residuals": e["calibration_residuals"][:-1]}),
+        ("models", 0, lambda e: 5, "model 0"),
+        ("models", 1, lambda e: {**e, "alpha": "x"}, "model 1"),
+        ("models", 2, lambda e: {**e, "region_metric": "nope"}, "model 2"),
+        ("means", 0, lambda e: {**e, "training": {**e["training"], "predictors": "abc"}}, "mean 0"),
+        ("calibrations", 0, _with_two_rows, "model 0"),  # k = 15 past 2 rows
+        ("means", 0, lambda e: {**e, "k": 121}, "mean 0"),  # 120 training rows
+        ("models", 1, lambda e: {**e, "alpha": 1.5}, "model 1"),
+        ("calibrations", 0, lambda e: {**e, "residuals": e["residuals"][:-1]}, "model 0"),
+        # integer fields take JSON integers only: no float, no bool
+        ("models", 2, lambda e: {**e, "k": 7.9}, "model 2"),
+        ("models", 2, lambda e: {**e, "k": True}, "model 2"),
+        ("calibrations", 0, lambda e: {**e, "seed": 2.5}, "calibration 0"),
+        ("means", 0, lambda e: {**e, "k": 6.0}, "mean 0"),
+        ("means", 0, lambda e: {**e, "seed": True}, "mean 0"),
+        # an index names an entry of its table, and does not wrap around
+        ("models", 1, lambda e: {**e, "mean": 1}, "model 1"),
+        ("models", 1, lambda e: {**e, "mean": -1}, "model 1"),
+        ("models", 1, lambda e: {**e, "mean": False}, "model 1"),
+        ("models", 2, lambda e: {**e, "calibration": 0.0}, "model 2"),
+        ("models", 2, lambda e: {**e, "calibration": -1}, "model 2"),
+        # number fields take no bool
+        ("models", 0, lambda e: {**e, "alpha": True}, "model 0"),
+        ("models", 1, lambda e: {**_HOMOSCEDASTIC_ENTRY, "calibrated_radius": True}, "model 1"),
+        ("models", 2, lambda e: {"algorithm": "conformalized", "base": e, "offset": False}, "model 2"),
     )
     cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bad}\nqueries = {queries}\n")
-    for index, mutate in cases:
+    for table, index, mutate, named in cases:
         doc = json.loads(bundle.read_text())
-        doc["models"][index] = mutate(doc["models"][index])
+        doc[table][index] = mutate(doc[table][index])
         bad.write_text(json.dumps(doc), encoding="utf-8")
-        assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3, index
-        assert f"data error: model {index}: " in capsys.readouterr().err, index
+        assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3, (table, index)
+        assert f"data error: {named}: " in capsys.readouterr().err, (table, index)
     assert not (tmp_path / "r.json").exists()
+    # the homoscedastic and conformalized entries above are well formed otherwise
+    doc = json.loads(bundle.read_text())
+    conformalized = {"algorithm": "conformalized", "base": doc["models"][0], "offset": 0.5}
+    doc["models"] += [_HOMOSCEDASTIC_ENTRY, conformalized]
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 0
 
 
 def test_unknown_algorithm_is_config_error(tmp_path, capsys):
@@ -767,16 +854,44 @@ def test_absent_config_file_is_config_error(tmp_path):
 
 
 def test_stale_model_version_is_data_error(fitted_bundle, tmp_path, capsys):
+    # version 1 held one copy of the mean and store per model: refit it
     _, bundle = fitted_bundle
-    doc = json.loads(bundle.read_text())
-    doc["version"] = 999
     stale = tmp_path / "stale.json"
-    stale.write_text(json.dumps(doc), encoding="utf-8")
     cfg = _write_config(
         tmp_path / "p.ini", f"[predict]\nmodel = {stale}\nqueries = {stale}\n"
     )
-    assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
-    assert "version" in capsys.readouterr().err.lower()
+    for version in (1, 999):
+        doc = json.loads(bundle.read_text())
+        doc["version"] = version
+        stale.write_text(json.dumps(doc), encoding="utf-8")
+        assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
+        assert f"version {version} not supported (expected 2)" in capsys.readouterr().err
+
+
+def _non_utf8_inputs(tmp_path):
+    """A config, a bundle and a dataset CSV, each with a 0xff byte."""
+    paths = {name: tmp_path / name for name in ("c.ini", "m.json", "d.csv")}
+    paths["c.ini"].write_bytes(b"[data]\nscenario = setting1\nn = 40\n# \xff\n")
+    paths["m.json"].write_bytes(b'{"format": "\xff"}\n')
+    paths["d.csv"].write_bytes(b"x_1,y_1\n0.5,\xff\n")
+    return paths
+
+
+@pytest.mark.parametrize(
+    "bad, command, code",
+    [("c.ini", "simulate", 2), ("m.json", "predict", 3), ("d.csv", "fit", 3)],
+)
+def test_non_utf8_input_file_is_named_error(tmp_path, capsys, bad, command, code):
+    paths = _non_utf8_inputs(tmp_path)
+    cfg = paths["c.ini"] if bad == "c.ini" else _write_config(
+        tmp_path / "ok.ini",
+        f"[data]\ninput = {paths['d.csv']}\n\n[model]\nmean_k = 2\n\n"
+        f"[predict]\nmodel = {paths['m.json']}\nqueries = {paths['d.csv']}\n",
+    )
+    assert _run([command, "--config", cfg, "--out", tmp_path / "out"]) == code
+    err = capsys.readouterr().err
+    assert str(paths[bad]) in err and "not UTF-8 text" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_numeric_failure_maps_to_exit_4(tmp_path, monkeypatch, capsys):

@@ -32,7 +32,7 @@ from metricregions.regression import (
     split_three,
 )
 from metricregions.simulate import Setting1, Setting4, generate
-from metricregions.storage import model_from_dict, model_to_dict
+from metricregions.storage import read_models_json, write_models_json
 
 
 def _scalar_dataset(generator, n, loc=0.0, scale=1.0):
@@ -542,7 +542,7 @@ def _grouped_models(p, lattice):
     train, calib = split_dataset(data, SplitConfig(0.5, seed=p))
     metric = MetricKind.EUCLIDEAN_L2
     store = fit_heteroscedastic_knn(train, calib, 0.2, 7, MeanSpec("knn", k=5), metric, seed=p)
-    # as a loaded bundle holds it: equal values in arrays of its own
+    # an equal store built apart: equal values in arrays of its own
     copy = dataclasses.replace(
         store,
         alpha=0.1,
@@ -591,9 +591,9 @@ def test_region_radii_match_brute_force_and_single_models(lattice, p, monkeypatc
 
     monkeypatch.setattr(regions, "nearest_neighbors", counting)
     got = region_radii(models, queries)
-    # one search for the shared store at its largest k (the copy and the
-    # other k included) and one for the other seed
-    assert sorted(searches) == [7, 12]
+    # one search for the shared store at its largest k (the other k
+    # included), one for the other seed and one for the copy
+    assert sorted(searches) == [7, 7, 12]
     assert np.isinf(got[3]).all() and (got[7] == 0.0).any()
     for i, model in enumerate(models):
         assert got[i].shape == (40,), i
@@ -614,7 +614,7 @@ def test_region_radii_match_brute_force_and_single_models(lattice, p, monkeypatc
 # query shapes
 
 
-def _shape_models(p):
+def _shape_models(p, tmp_path):
     g = np.random.default_rng(50 + p)
     x = g.uniform(0.0, 5.0, (80, p))
     data = LabeledDataset(x, x.sum(axis=1) + g.normal(size=80))
@@ -627,7 +627,8 @@ def _shape_models(p):
         models.append(fit_heteroscedastic_knn(train, calib, 0.2, 6, mean, metric))
         models.append(fit_conformalized_hetero(train, calib, conformal, 0.2, 6, mean, metric))
     # reloaded models take the same shapes as fitted ones
-    return models + [model_from_dict(model_to_dict(m)) for m in models]
+    write_models_json(tmp_path / "m.json", models)
+    return models + read_models_json(tmp_path / "m.json")
 
 
 @pytest.mark.parametrize(
@@ -640,8 +641,8 @@ def _shape_models(p):
         (3, np.array([[0.5, 1.5, 2.5], [1.0, 1.0, 1.0]]), 2),
     ],
 )
-def test_centers_and_radii_agree_on_query_rows(p, queries, rows):
-    for model in _shape_models(p):
+def test_centers_and_radii_agree_on_query_rows(p, queries, rows, tmp_path):
+    for model in _shape_models(p, tmp_path):
         centers = model.center_values(queries)
         radii = model.radii(queries)
         constant_homoscedastic = isinstance(model, HomoscedasticRegionModel) and isinstance(
