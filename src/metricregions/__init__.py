@@ -47,7 +47,6 @@ from .regression import (
     split_three,
 )
 from .regions import (
-    ConformalizedHeteroModel,
     HeteroscedasticRegionModel,
     HomoscedasticRegionModel,
     empirical_quantile,
@@ -81,7 +80,6 @@ from .evaluate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConformalizedHeteroModel",
     "ConstantMean",
     "CoverageReport",
     "DimensionMismatch",

@@ -14,9 +14,9 @@ mean.  Four radius rules are provided:
 * tuned two-stage: the kNN mean bandwidth is picked by a leave-one-out
   criterion on the training half, then the radius k is picked to bring
   marginal coverage on a tuning set closest to the nominal level;
-* conformalized heteroscedastic: a third split calibrates an additive
-  offset for the local radius, restoring a finite-sample marginal
-  coverage guarantee.
+* conformalized heteroscedastic: the same local radius plus an
+  additive ``offset`` calibrated on a third split (0 for the plain
+  rule), restoring a finite-sample marginal coverage guarantee.
 
 Residuals are always distances in the region metric between observed
 responses and the fitted mean, computed once per calibration point.
@@ -25,8 +25,9 @@ Every model answers arrays of queries: ``center_values(queries)`` gives
 the (rows, m) centres and ``radii(queries)`` the (rows,) radii.
 ``region_radii(models, queries)`` is the one local-radius search: models
 that hold one calibration store (the same arrays and seed, whatever
-their k or alpha) share one neighbour search, and each takes its own
-order statistic of its k-prefix of the same neighbour residuals.
+their k, alpha or offset) share one neighbour search, and each takes
+its own order statistic of its k-prefix of the same neighbour
+residuals, then adds its offset.
 A fitted mean is any object with ``predict_values(queries) -> (rows,
 m)``, ``p`` and ``quantile_grid``; ``evaluate.coverage_indicators``
 tests whether responses lie in their regions.
@@ -63,7 +64,6 @@ from .regression import (
 __all__ = [
     "HomoscedasticRegionModel",
     "HeteroscedasticRegionModel",
-    "ConformalizedHeteroModel",
     "KTuneResult",
     "empirical_quantile",
     "fit_homoscedastic",
@@ -128,6 +128,11 @@ class HomoscedasticRegionModel:
     alpha: float
     region_metric: MetricKind
 
+    def __post_init__(self):
+        _validate_alpha(self.alpha)
+        if not self.calibrated_radius >= 0.0:  # NaN fails this too
+            raise InvalidDataset(f"calibrated radius {self.calibrated_radius} is not >= 0")
+
     def center_values(self, queries: np.ndarray) -> np.ndarray:
         return self.mean.predict_values(queries)
 
@@ -146,7 +151,6 @@ def fit_homoscedastic(
     seed: int = 0,
 ) -> HomoscedasticRegionModel:
     """Fit the mean on ``train`` and calibrate one global radius on ``calib``."""
-    _validate_alpha(alpha)
     _check_region_metric(region_metric, calib)
     mean_est = fit_mean(train, mean, rng.derive_seed(seed, "mean"))
     residuals = _calibration_residuals(mean_est, calib, region_metric)
@@ -171,8 +175,11 @@ class HeteroscedasticRegionModel:
     canonical row order; the radius at ``x`` is the empirical quantile
     of the residuals of the k nearest calibration predictors (Euclidean
     distance on predictors, distance ties broken by a jitter seeded from
-    ``seed XOR hash(x)``).  The KD-tree over the calibration predictors
-    is built on first use.
+    ``seed XOR hash(x)``).  A finite radius is then shifted by
+    ``offset`` and floored at zero; the offset is 0 except after a
+    conformal calibration (``fit_conformalized_hetero``), and may be
+    infinite but never NaN.  The KD-tree over the calibration
+    predictors is built on first use.
     """
 
     mean: object
@@ -182,13 +189,18 @@ class HeteroscedasticRegionModel:
     alpha: float
     region_metric: MetricKind
     seed: int
+    offset: float = 0.0
 
     def __post_init__(self):
+        if self.calibration_predictors.ndim != 2:
+            raise InvalidDataset("calibration predictors must be one row per point")
         if not 1 <= self.k <= self.n_calibration:
             raise KTooLarge(f"radius k={self.k} outside 1..{self.n_calibration}")
         _validate_alpha(self.alpha)
         if self.calibration_residuals.shape != (self.n_calibration,):
             raise InvalidDataset(f"residuals do not match {self.n_calibration} calibration rows")
+        if math.isnan(self.offset):
+            raise InvalidDataset("conformal offset is NaN")
 
     @property
     def n_calibration(self) -> int:
@@ -300,37 +312,6 @@ def fit_hetero_tuned(
 # conformalized heteroscedastic regions
 
 
-@dataclass(frozen=True, eq=False)
-class ConformalizedHeteroModel:
-    """Local radii shifted by a conformal offset from a third split.
-
-    The offset is the empirical ``1 - alpha`` quantile of the score
-    ``residual - local_radius`` over the third split; final radii are
-    clipped at zero.
-    """
-
-    base: HeteroscedasticRegionModel
-    offset: float
-
-    @property
-    def alpha(self) -> float:
-        return self.base.alpha
-
-    @property
-    def region_metric(self) -> MetricKind:
-        return self.base.region_metric
-
-    @property
-    def mean(self):
-        return self.base.mean
-
-    def center_values(self, queries: np.ndarray) -> np.ndarray:
-        return self.base.center_values(queries)
-
-    def radii(self, queries: np.ndarray) -> np.ndarray:
-        return region_radii([self], queries)[0]
-
-
 def fit_conformalized_hetero(
     train: LabeledDataset,
     calib: LabeledDataset,
@@ -341,22 +322,24 @@ def fit_conformalized_hetero(
     region_metric: MetricKind,
     *,
     seed: int = 0,
-) -> ConformalizedHeteroModel:
+) -> HeteroscedasticRegionModel:
     """Three-split variant: mean on ``train``, local radii on ``calib``,
-    conformal offset on ``conformal``."""
+    conformal offset on ``conformal``: the empirical ``1 - alpha``
+    quantile of the score ``residual - local_radius`` there."""
     base = fit_heteroscedastic_knn(train, calib, alpha, k, mean, region_metric, seed=seed)
     return _conformalize(base, conformal, [alpha])[0]
 
 
 def _conformalize(store: HeteroscedasticRegionModel, conformal: LabeledDataset, alphas):
-    """One conformalized model per alpha over copies of ``store``, whose
+    """One copy of ``store`` per alpha with its conformal offset; their
     scores on ``conformal`` share the residuals and one neighbour search."""
     residuals = _calibration_residuals(store.mean, conformal, store.region_metric)
-    bases = [replace(store, alpha=float(a)) for a in alphas]
+    # scores are taken on offset-free local radii
+    bases = [replace(store, alpha=float(a), offset=0.0) for a in alphas]
     # an infinite local radius yields a score of -inf, which sorts first:
     # that point is covered for any offset
     return [
-        ConformalizedHeteroModel(base, empirical_quantile(residuals - radii, 1.0 - base.alpha))
+        replace(base, offset=empirical_quantile(residuals - radii, 1.0 - base.alpha))
         for base, radii in zip(bases, region_radii(bases, conformal.predictors))
     ]
 
@@ -382,33 +365,32 @@ def _shared_search_radii(stores: Sequence[HeteroscedasticRegionModel], queries) 
 def region_radii(models: Sequence, queries: np.ndarray) -> list[np.ndarray]:
     """The (rows,) radii of every model at ``queries``, in ``models`` order.
 
-    Local-radius models (heteroscedastic, or conformalized over such a
-    base) that hold one calibration store share one neighbour search:
-    the same ``calibration_predictors`` and ``calibration_residuals``
-    objects, as every fit and every loaded bundle shares them across
-    alphas and k, and an equal seed.  Equal stores built apart search
-    apart.  Each member takes its own ``1 - alpha`` order statistic of
-    its k-prefix of the same neighbours, so the radii equal those of
-    separate searches bitwise.  A conformalized member then adds its
-    offset to its finite radii, floored at zero.  Any other model
+    Local-radius models (``HeteroscedasticRegionModel``) that hold one
+    calibration store share one neighbour search: the same
+    ``calibration_predictors`` and ``calibration_residuals`` objects, as
+    every fit and every loaded bundle shares them across alphas, k and
+    offsets, and an equal seed.  Equal stores built apart search apart.
+    Each member takes its own ``1 - alpha`` order statistic of its
+    k-prefix of the same neighbours, so the radii equal those of
+    separate searches bitwise.  A member with a non-zero offset then
+    adds it to its finite radii, floored at zero.  Any other model
     answers ``radii`` itself.  No two returned arrays share memory.
     """
     out = [None] * len(models)
-    stores = [m.base if isinstance(m, ConformalizedHeteroModel) else m for m in models]
     # per store, its members' positions; ``models`` keeps the id()-keyed arrays alive
     groups = {}
-    for i, store in enumerate(stores):
-        if isinstance(store, HeteroscedasticRegionModel):
-            key = (id(store.calibration_predictors), id(store.calibration_residuals), store.seed)
+    for i, model in enumerate(models):
+        if isinstance(model, HeteroscedasticRegionModel):
+            key = (id(model.calibration_predictors), id(model.calibration_residuals), model.seed)
             groups.setdefault(key, []).append(i)
         else:
-            out[i] = models[i].radii(queries)
+            out[i] = model.radii(queries)
     for members in groups.values():
-        radii = _shared_search_radii([stores[i] for i in members], queries)
+        radii = _shared_search_radii([models[i] for i in members], queries)
         # one column per member: disjoint views of one block
         for j, i in enumerate(members):
             out[i] = radii[:, j]
-            if isinstance(models[i], ConformalizedHeteroModel):
+            if models[i].offset:
                 # a vacuous (infinite) local radius stays vacuous, whatever the offset
                 finite = np.isfinite(out[i])
                 out[i][finite] = np.maximum(out[i][finite] + models[i].offset, 0.0)

@@ -8,10 +8,12 @@ skip keys they do not use, so older bundles of the same version that
 still carry since-dropped fields load unchanged.  Input files are read
 as UTF-8.
 
-A model bundle (version 2; version 1 bundles must be refitted) lists
-each distinct fitted mean once under ``means`` and each distinct
-calibration store once under ``calibrations``; its ``models`` refer to
-them by index, and loaded models that refer to one entry share it.
+A model bundle (version 3; older bundles must be refitted) lists each
+distinct fitted mean once under ``means`` and each distinct calibration
+store once under ``calibrations``; its ``models`` refer to them by
+index, and loaded models that refer to one entry share it.  Every
+local-radius model carries its conformal ``offset`` (0 when it has
+none).
 
 Every JSON file (bundles, regions, reports) comes from one emitter with
 a fixed byte layout: object keys sorted, each item on its own line
@@ -38,11 +40,7 @@ import numpy as np
 
 from .errors import InvalidDataset, MetricRegionsError, SchemaError, VersionMismatch
 from .metrics import EuclideanVector, MetricKind, QuantileFunction
-from .regions import (
-    ConformalizedHeteroModel,
-    HeteroscedasticRegionModel,
-    HomoscedasticRegionModel,
-)
+from .regions import HeteroscedasticRegionModel, HomoscedasticRegionModel
 from .regression import (
     ConstantMean, GlobalFrechetModel, KnnFrechetModel, LabeledDataset,
 )
@@ -63,7 +61,7 @@ MODELS_FORMAT = "metricregions-models"
 REGIONS_FORMAT = "metricregions-regions"
 REPORT_FORMAT = "metricregions-report"
 FORMAT_VERSION = 1  # regions and reports
-_MODELS_VERSION = 2
+_MODELS_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +379,6 @@ def _mean_from_dict(d: dict):
 def _model_to_dict(model, refer) -> dict:
     """A bundle entry; ``refer(table, key, block)`` gives the index in
     ``table`` of ``block``, built from the objects that ``key`` names."""
-    if isinstance(model, ConformalizedHeteroModel):
-        return {
-            "algorithm": "conformalized",
-            "offset": model.offset,
-            "base": _model_to_dict(model.base, refer),
-        }
     if not isinstance(model, (HomoscedasticRegionModel, HeteroscedasticRegionModel)):
         raise SchemaError(f"cannot serialize model of type {type(model).__name__}")
     entry = {
@@ -399,16 +391,17 @@ def _model_to_dict(model, refer) -> dict:
     predictors, residuals = model.calibration_predictors, model.calibration_residuals
     store = {"predictors": predictors, "residuals": residuals, "seed": model.seed}
     calibration = refer("calibrations", (id(predictors), id(residuals), model.seed), store)
-    return {**entry, "algorithm": "heteroscedastic-knn", "k": model.k, "calibration": calibration}
+    return {
+        **entry,
+        "algorithm": "heteroscedastic-knn",
+        "k": model.k,
+        "calibration": calibration,
+        "offset": model.offset,
+    }
 
 
 def _model_from_dict(d: dict, tables: dict):
     algorithm = _require(d, "algorithm")
-    if algorithm == "conformalized":
-        base = _model_from_dict(_require(d, "base"), tables)
-        if not isinstance(base, HeteroscedasticRegionModel):
-            raise SchemaError("conformalized model needs a heteroscedastic-knn base")
-        return ConformalizedHeteroModel(base=base, offset=_float_in(d, "offset"))
     if algorithm not in ("homoscedastic", "heteroscedastic-knn"):
         raise SchemaError(f"unknown model algorithm {algorithm!r}")
     mean = _entry_in(d, "mean", tables["means"])
@@ -416,8 +409,9 @@ def _model_from_dict(d: dict, tables: dict):
     if algorithm == "homoscedastic":
         return HomoscedasticRegionModel(mean, _float_in(d, "calibrated_radius"), alpha, region_metric)
     predictors, residuals, seed = _entry_in(d, "calibration", tables["calibrations"])
+    k, offset = _int_in(d, "k"), _float_in(d, "offset")
     return HeteroscedasticRegionModel(
-        mean, predictors, residuals, _int_in(d, "k"), alpha, region_metric, seed
+        mean, predictors, residuals, k, alpha, region_metric, seed, offset
     )
 
 

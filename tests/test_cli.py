@@ -15,7 +15,6 @@ from metricregions.cli import main
 from metricregions.errors import SchemaError
 from metricregions.metrics import MetricKind
 from metricregions.regions import (
-    ConformalizedHeteroModel,
     HomoscedasticRegionModel,
     fit_conformalized_hetero,
     fit_heteroscedastic_knn,
@@ -363,11 +362,10 @@ def test_bundle_holds_each_mean_and_store_once(tmp_path, algorithm):
     assert len(doc["models"]) == 3
     assert len(doc["means"]) == 1 and len(doc["calibrations"]) == 1
     models = read_models_json(bundle)
-    stores = [getattr(m, "base", m) for m in models]
-    for store in stores[1:]:
-        assert store.mean is stores[0].mean
-        assert store.calibration_predictors is stores[0].calibration_predictors
-        assert store.calibration_residuals is stores[0].calibration_residuals
+    for model in models[1:]:
+        assert model.mean is models[0].mean
+        assert model.calibration_predictors is models[0].calibration_predictors
+        assert model.calibration_residuals is models[0].calibration_residuals
 
 
 def _count_searches(monkeypatch) -> list:
@@ -553,9 +551,9 @@ def test_models_json_matches_stdlib_reference(tmp_path, algorithm):
 
 
 def _reference_bundle(models) -> dict:
-    """The version 2 payload of kNN-mean models, built by hand: each
+    """The version 3 payload of kNN-mean models, built by hand: each
     distinct mean and calibration store once, compared by value, in
-    order of first use."""
+    order of first use, and an offset on every local-radius entry."""
     means, calibrations = [], []
 
     def index(table, block):
@@ -565,8 +563,6 @@ def _reference_bundle(models) -> dict:
         return table.index(block)
 
     def entry(m):
-        if isinstance(m, ConformalizedHeteroModel):
-            return {"algorithm": "conformalized", "offset": m.offset, "base": entry(m.base)}
         training = m.mean.training
         mean = {
             "kind": "knn",
@@ -588,12 +584,18 @@ def _reference_bundle(models) -> dict:
             "seed": m.seed,
         }
         calibration = index(calibrations, store)
-        return {"algorithm": "heteroscedastic-knn", "k": m.k, "calibration": calibration, **fields}
+        return {
+            "algorithm": "heteroscedastic-knn",
+            "k": m.k,
+            "calibration": calibration,
+            "offset": m.offset,
+            **fields,
+        }
 
     entries = [entry(m) for m in models]
     return {
         "format": MODELS_FORMAT,
-        "version": 2,
+        "version": 3,
         "means": means,
         "calibrations": calibrations,
         "models": entries,
@@ -745,7 +747,16 @@ def test_malformed_bundle_entry_is_data_error_naming_it(tmp_path, capsys):
         # number fields take no bool
         ("models", 0, lambda e: {**e, "alpha": True}, "model 0"),
         ("models", 1, lambda e: {**_HOMOSCEDASTIC_ENTRY, "calibrated_radius": True}, "model 1"),
-        ("models", 2, lambda e: {"algorithm": "conformalized", "base": e, "offset": False}, "model 2"),
+        ("models", 2, lambda e: {**e, "offset": False}, "model 2"),
+        # every local-radius entry carries an offset, which may be infinite but not NaN
+        ("models", 2, lambda e: {k: v for k, v in e.items() if k != "offset"}, "model 2"),
+        ("models", 2, lambda e: {**e, "offset": "nan"}, "model 2"),
+        # a homoscedastic entry checks its own alpha and radius
+        ("models", 1, lambda e: {**_HOMOSCEDASTIC_ENTRY, "alpha": 1.5}, "model 1"),
+        ("models", 1, lambda e: {**_HOMOSCEDASTIC_ENTRY, "calibrated_radius": "nan"}, "model 1"),
+        ("models", 1, lambda e: {**_HOMOSCEDASTIC_ENTRY, "calibrated_radius": -1}, "model 1"),
+        # calibration predictors are one row per point, even at p = 1
+        ("calibrations", 0, lambda e: {**e, "predictors": [row[0] for row in e["predictors"]]}, "model 0"),
     )
     cfg = _write_config(tmp_path / "p.ini", f"[predict]\nmodel = {bad}\nqueries = {queries}\n")
     for table, index, mutate, named in cases:
@@ -755,10 +766,10 @@ def test_malformed_bundle_entry_is_data_error_naming_it(tmp_path, capsys):
         assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3, (table, index)
         assert f"data error: {named}: " in capsys.readouterr().err, (table, index)
     assert not (tmp_path / "r.json").exists()
-    # the homoscedastic and conformalized entries above are well formed otherwise
+    # the homoscedastic entry and the offsets above are well formed otherwise
     doc = json.loads(bundle.read_text())
-    conformalized = {"algorithm": "conformalized", "base": doc["models"][0], "offset": 0.5}
-    doc["models"] += [_HOMOSCEDASTIC_ENTRY, conformalized]
+    offsets = [{**doc["models"][0], "offset": v} for v in (0.5, "inf", "-inf")]
+    doc["models"] += [_HOMOSCEDASTIC_ENTRY, *offsets]
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 0
 
@@ -854,18 +865,19 @@ def test_absent_config_file_is_config_error(tmp_path):
 
 
 def test_stale_model_version_is_data_error(fitted_bundle, tmp_path, capsys):
-    # version 1 held one copy of the mean and store per model: refit it
+    # version 1 held one copy of the mean and store per model, and version
+    # 2 a nested entry per conformalized model: refit them
     _, bundle = fitted_bundle
     stale = tmp_path / "stale.json"
     cfg = _write_config(
         tmp_path / "p.ini", f"[predict]\nmodel = {stale}\nqueries = {stale}\n"
     )
-    for version in (1, 999):
+    for version in (1, 2, 999):
         doc = json.loads(bundle.read_text())
         doc["version"] = version
         stale.write_text(json.dumps(doc), encoding="utf-8")
         assert _run(["predict", "--config", cfg, "--out", tmp_path / "r.json"]) == 3
-        assert f"version {version} not supported (expected 2)" in capsys.readouterr().err
+        assert f"version {version} not supported (expected 3)" in capsys.readouterr().err
 
 
 def _non_utf8_inputs(tmp_path):

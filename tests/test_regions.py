@@ -13,7 +13,6 @@ from metricregions.errors import EmptyValues, InvalidConfig, InvalidDataset, KTo
 from metricregions.evaluate import coverage_indicators, evaluate_model
 from metricregions.metrics import EuclideanVector, MetricKind, QuantileFunction
 from metricregions.regions import (
-    ConformalizedHeteroModel,
     HomoscedasticRegionModel,
     empirical_quantile,
     fit_conformalized_hetero,
@@ -310,8 +309,23 @@ def test_conformal_radius_floors_at_zero(rng_np):
     )
     assert model.offset < 0.0  # scores are 0.25 - 5.0 everywhere
     assert (model.radii(np.array([[1.0], [4.0]])) >= 0.0).all()
-    floored = ConformalizedHeteroModel(model.base, -1e9)
+    floored = dataclasses.replace(model, offset=-1e9)
     assert np.array_equal(floored.radii(np.array([[1.0]])), np.array([0.0]))
+
+
+def test_conformal_offset_is_scored_on_offset_free_radii(rng_np):
+    import metricregions.regions as regions
+
+    data = _scalar_dataset(rng_np, 150)
+    train, calib, conformal = split_three(data, 0.4, 0.3, seed=8)
+    mean, metric = MeanSpec("knn", k=5), MetricKind.EUCLIDEAN_L2
+    fitted = [
+        fit_conformalized_hetero(train, calib, conformal, a, 10, mean, metric) for a in (0.2, 0.1)
+    ]
+    assert fitted[0].offset != 0.0
+    # recalibrating a model that already holds an offset ignores that offset
+    again = regions._conformalize(fitted[0], conformal, [0.2, 0.1])
+    assert [m.offset for m in again] == [m.offset for m in fitted]
 
 
 def test_conformal_vacuous_radii_stay_infinite_without_warning():
@@ -551,7 +565,7 @@ def _grouped_models(p, lattice):
     )
     return [
         store,
-        ConformalizedHeteroModel(dataclasses.replace(store, alpha=0.3), 0.25),
+        dataclasses.replace(store, alpha=0.3, offset=0.25),
         dataclasses.replace(store, seed=p + 1),
         # ceil(8 * 0.95) = 8 passes k = 7: every radius is infinite
         dataclasses.replace(store, alpha=0.05),
@@ -559,19 +573,17 @@ def _grouped_models(p, lattice):
         dataclasses.replace(store, k=12),
         copy,
         # a large negative offset floors the finite radii at zero
-        ConformalizedHeteroModel(store, -10.0),
+        dataclasses.replace(store, offset=-10.0),
     ]
 
 
 def _oracle_radii(model, queries):
     if isinstance(model, HomoscedasticRegionModel):
         return np.full(queries.shape[0], model.calibrated_radius)
-    if isinstance(model, ConformalizedHeteroModel):
-        radii = _brute_radii(model.base, queries, model.base.k)
-        finite = np.isfinite(radii)
-        radii[finite] = np.maximum(radii[finite] + model.offset, 0.0)
-        return radii
-    return _brute_radii(model, queries, model.k)
+    radii = _brute_radii(model, queries, model.k)
+    finite = np.isfinite(radii)
+    radii[finite] = np.maximum(radii[finite] + model.offset, 0.0)
+    return radii
 
 
 @pytest.mark.parametrize("lattice", [True, False])
